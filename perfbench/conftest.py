@@ -1,0 +1,10 @@
+"""Puts the checkout's src/ and this directory on sys.path for the benchmark's own tests.
+
+  python3 -m pytest perfbench
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
