@@ -51,6 +51,7 @@ from .sweep import (
     detect_drops,
     detect_surface_minima,
     evaluate_point,
+    evaluate_points,
     fit_minima_line,
     nearest_parabola_index,
     run_sweep,

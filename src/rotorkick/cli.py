@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,7 +85,6 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--basis", choices=["auto", "fixed"], default="auto")
     p.add_argument("--j-max", type=int, default=9, help="basis size for --basis fixed")
     p.add_argument("--leak-tol", type=float, default=1e-10)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--drop-threshold", type=float, default=0.10,
                    help="relative depth for drop detection")
     common(p)
@@ -97,8 +97,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = sub.add_parser("validate", help="run the acceptance suite")
     p.add_argument("--quick", action="store_true",
-                   help="skip the minutes-long surface scan")
-    p.add_argument("--workers", type=int, default=None)
+                   help="skip the surface scan")
     p.add_argument("--seed", type=int, default=12345)
     common(p)
     return parser, dict(sub.choices)
@@ -165,8 +164,8 @@ def _coerce(text: str, action: argparse.Action):
 
 def _validate_options(command: str, opt: dict) -> None:
     def positive(key):
-        if opt.get(key) is not None and opt[key] <= 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be > 0")
+        if opt.get(key) is not None and not 0 < opt[key] < math.inf:
+            raise UsageError(f"--{key.replace('_', '-')} must be finite and > 0")
 
     def require(*keys):
         missing = [k for k in keys if opt.get(k) is None]
@@ -175,8 +174,9 @@ def _validate_options(command: str, opt: dict) -> None:
             raise UsageError(f"required (by flag or config file): {flags}")
 
     if command in ("propagate", "sweep", "analytic"):
-        if opt.get("P") is not None and opt["P"] < 0:
-            raise UsageError("--P must be >= 0")
+        for key in ("P", "P_min", "P_max"):
+            if opt.get(key) is not None and not 0 <= opt[key] < math.inf:
+                raise UsageError(f"--{key.replace('_', '-')} must be finite and >= 0")
     if command == "propagate":
         require("P", "sigma")
         positive("sigma")
@@ -185,7 +185,7 @@ def _validate_options(command: str, opt: dict) -> None:
             raise UsageError("--j-max must be >= 0")
     if command == "sweep":
         require("sigma_min", "sigma_max", "sigma_step")
-        for key in ("sigma_min", "sigma_max", "sigma_step"):
+        for key in ("sigma_min", "sigma_max", "sigma_step", "P_step"):
             positive(key)
         if opt["sigma_max"] < opt["sigma_min"]:
             raise UsageError("--sigma-max must be >= --sigma-min")
@@ -196,8 +196,6 @@ def _validate_options(command: str, opt: dict) -> None:
             raise UsageError("--P conflicts with --P-min/--P-max/--P-step")
         if not two_d and opt.get("P") is None:
             raise UsageError("either --P or the --P-min/--P-max/--P-step triple is required")
-        if opt.get("workers") is not None and opt["workers"] < 1:
-            raise UsageError("--workers must be >= 1")
         if not 0 < opt["drop_threshold"] < 1:
             raise UsageError("--drop-threshold must be in (0, 1)")
     if command == "analytic":
@@ -269,7 +267,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     grid = SweepGrid.from_ranges(p, opt["sigma_min"], opt["sigma_max"], opt["sigma_step"],
                                  j0=opt["j0"], basis_mode=opt["basis"],
                                  j_max=opt["j_max"], leak_tol=opt["leak_tol"])
-    result = run_sweep(grid, workers=opt["workers"], drop_rel_threshold=opt["drop_threshold"])
+    result = run_sweep(grid, drop_rel_threshold=opt["drop_threshold"])
     fmts = tuple(opt["formats"].split(","))
     write_records(result, outdir, formats=fmts, metadata=dict(cfg.options))
     if "svg" in fmts:
@@ -331,7 +329,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     opt = cfg.options
     outdir = Path(opt["out"])
     _echo_config(cfg, outdir)
-    checks = run_acceptance(workers=opt["workers"], quick=opt["quick"], seed=opt["seed"])
+    checks = run_acceptance(quick=opt["quick"], seed=opt["seed"])
     for c in checks:
         print(c.line())
     n_fail = sum(not c.passed for c in checks)

@@ -11,6 +11,7 @@ expanded in the free-rotor states |J, 0> for 0 <= J <= j_max.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,8 +26,8 @@ HBAR_SI = 1.054571817e-34
 class PulseSpec:
     """Rectangular pulse in reduced units.
 
-    strength : P >= 0, the kick strength (time-integrated coupling).
-    sigma    : pulse duration in units of the rotational time scale, > 0.
+    strength : P >= 0 and finite, the kick strength (time-integrated coupling).
+    sigma    : pulse duration in units of the rotational time scale, > 0 and finite.
     eta      : derived coupling P / sigma, never stored independently.
     """
 
@@ -34,6 +35,9 @@ class PulseSpec:
     sigma: float
 
     def __post_init__(self):
+        for name, value in (("strength P", self.strength), ("duration sigma", self.sigma)):
+            if not math.isfinite(value):
+                raise ValueError(f"pulse {name} must be finite, got {value}")
         if not self.sigma > 0:
             raise ValueError(f"pulse duration sigma must be > 0, got {self.sigma}")
         if self.strength < 0:

@@ -26,29 +26,32 @@ def _check_operator(psi: Wavepacket, mat: OperatorMatrix, kind: MatrixKind) -> N
             f"wavepacket basis (j_max={psi.basis.j_max})")
 
 
+def _band_term(c: np.ndarray, band: np.ndarray, k: int) -> np.ndarray:
+    """Part of <O> from the k-th band of a real symmetric O, over the last axis
+    of c (one state or a stack of them): sum_J |C_J|^2 O_JJ for k = 0, else
+    2 Re sum_J C_J^* C_{J+k} O_{J,J+k}."""
+    if k == 0:
+        return np.sum(np.abs(c) ** 2 * band, axis=-1)
+    return 2.0 * np.real(np.sum(np.conj(c[..., :-k]) * c[..., k:] * band, axis=-1))
+
+
 def kinetic_energy(psi: Wavepacket) -> float:
     """sum_J J(J+1) |C_J|^2, in units of the rotational constant."""
     j = psi.basis.j_values().astype(np.float64)
-    return float(np.sum(j * (j + 1) * np.abs(psi.coefficients) ** 2))
+    return float(_band_term(psi.coefficients, j * (j + 1), 0))
 
 
 def orientation(psi: Wavepacket, cos_mat: OperatorMatrix) -> float:
     """<cos theta> = 2 Re sum_J C_J^* C_{J+1} <J|cos|J+1> (Delta J = +-1)."""
     _check_operator(psi, cos_mat, MatrixKind.COS_THETA)
-    c = psi.coefficients
-    band = np.diag(cos_mat.entries, 1)
-    return float(2.0 * np.real(np.sum(np.conj(c[:-1]) * c[1:] * band)))
+    return float(_band_term(psi.coefficients, np.diag(cos_mat.entries, 1), 1))
 
 
 def alignment(psi: Wavepacket, cos2_mat: OperatorMatrix) -> float:
     """<cos^2 theta>: diagonal term plus the Delta J = +-2 coherences."""
     _check_operator(psi, cos2_mat, MatrixKind.COS2_THETA)
-    c = psi.coefficients
-    diag = np.diag(cos2_mat.entries)
-    band2 = np.diag(cos2_mat.entries, 2)
-    val = np.sum(np.abs(c) ** 2 * diag)
-    val += 2.0 * np.real(np.sum(np.conj(c[:-2]) * c[2:] * band2))
-    return float(val)
+    c, m = psi.coefficients, cos2_mat.entries
+    return float(_band_term(c, np.diag(m), 0) + _band_term(c, np.diag(m, 2), 2))
 
 
 def populations(psi: Wavepacket) -> np.ndarray:

@@ -1,22 +1,37 @@
-"""Parallel (P, sigma) parameter sweeps with drop and surface-minima detection.
+"""(P, sigma) parameter sweeps with drop and surface-minima detection.
 
-Grid points are independent pure tasks; results are assembled by grid
-index, never by arrival order, so the worker count cannot change the
-output (no floating-point reduction crosses point boundaries).
+Points are evaluated by one batched spectral engine: per candidate basis
+size, one eigensolve of the stacked Hamiltonians of all points not yet
+converged, then the observables from that size's operator bands.  No
+arithmetic crosses point boundaries, so batching cannot change a record.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import zero_loci
-from .core import PulseSpec, RotorBasis, build_cos2_matrix, build_cos_matrix
-from .observables import alignment, kinetic_energy, orientation, populations
-from .propagate import ConvergenceError, converge_basis, propagate_spectral
+from .core import RotorBasis, _cos_dense, build_cos2_matrix
+from .observables import _band_term
+
+# Most matrix entries stacked into one eigensolve.  With the eigenvectors and
+# their complex copy a stack takes about 40 bytes an entry, so this bounds a
+# round at about 10 MiB whatever the number of points or the basis size.
+_STACK_ENTRIES = 1 << 18
+# The largest basis converge_basis tries before it gives up on a point.
+_J_MAX_CAP = 400
+
+
+def _check_values(name: str, values, positive: bool) -> np.ndarray:
+    """values as a float array; ValueError naming the field unless every
+    value is finite and > 0 (positive) or >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr) & ((arr > 0) if positive else (arr >= 0))):
+        raise ValueError(f"{name} values must be finite and {'> 0' if positive else '>= 0'}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -35,16 +50,13 @@ class SweepGrid:
     leak_tol: float = 1e-10         # used when basis_mode == "auto"
 
     def __post_init__(self):
-        for name, vals in (("p_values", self.p_values), ("sigma_values", self.sigma_values)):
-            arr = np.asarray(vals, dtype=float)
+        for name, vals, positive in (("P", self.p_values, False),
+                                     ("sigma", self.sigma_values, True)):
+            arr = _check_values(name, vals, positive)
             if arr.size == 0:
-                raise ValueError(f"{name} must be non-empty")
+                raise ValueError(f"{name} values must be non-empty")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
-                raise ValueError(f"{name} must be strictly increasing")
-        if np.any(np.asarray(self.sigma_values) <= 0):
-            raise ValueError("sigma values must be > 0")
-        if np.any(np.asarray(self.p_values) < 0):
-            raise ValueError("P values must be >= 0")
+                raise ValueError(f"{name} values must be strictly increasing")
         if self.basis_mode not in ("auto", "fixed"):
             raise ValueError(f"unknown basis mode {self.basis_mode!r}")
 
@@ -97,56 +109,91 @@ class SweepResult:
         return [r for r in self.records if r.failed]
 
 
+def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
+                    leak_tol: float = 1e-10) -> list[PointRecord]:
+    """Propagate the points (p[k], sigma[k]) (spectral) and compute all observables.
+
+    "auto" gives each point the smallest j_max = J0 + 4, J0 + 8, ... whose
+    leak (population of the top two levels) is below leak_tol, as
+    converge_basis does; a point still above it at converge_basis's cap
+    becomes a failed record with the ConvergenceError text.  "fixed"
+    propagates every point once at j_max.  For each basis size the points
+    not yet converged share one stacked eigensolve, which makes for each
+    point the LAPACK and BLAS calls that propagate_spectral makes.
+    """
+    p_arr = _check_values("P", p, positive=False)
+    s_arr = _check_values("sigma", sigma, positive=True)
+    if p_arr.shape != s_arr.shape or p_arr.ndim != 1:
+        raise ValueError("P and sigma must be 1-D sequences of the same length")
+    if basis_mode == "fixed":
+        ladder, tol = [RotorBasis(j_max=j_max).j_max], math.inf    # RotorBasis checks j_max
+    elif basis_mode == "auto":
+        if not 0 < leak_tol < 1:
+            raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
+        ladder, tol = range(j0 + 4, _J_MAX_CAP + 1, 4), leak_tol
+    else:
+        raise ValueError(f"unknown basis mode {basis_mode!r}")
+    if ladder and not 0 <= j0 <= ladder[0]:
+        raise ValueError(f"J0={j0} outside basis (j_max={ladder[0]})")
+
+    records: list[PointRecord | None] = [None] * p_arr.size
+    active = np.arange(p_arr.size)
+    for jm in ladder:
+        if not active.size:
+            break
+        j, d = np.arange(jm + 1, dtype=np.float64), np.arange(jm + 1)
+        cos, cos2 = _cos_dense(jm), build_cos2_matrix(RotorBasis(j_max=jm)).entries
+        step = max(1, _STACK_ENTRIES // d.size ** 2)
+        left = []
+        for start in range(0, active.size, step):
+            idx = active[start:start + step]
+            h = np.zeros((idx.size, d.size, d.size))    # as build_hamiltonian, per point
+            h[:, d, d] = s_arr[idx, None] * j * (j + 1)
+            h -= p_arr[idx, None, None] * cos
+            evals, u = np.linalg.eigh(h)
+            c = np.matmul(u, (np.exp(-1j * evals) * u[:, j0, :])[:, :, None])[:, :, 0]
+            pop = np.abs(c) ** 2
+            done = pop[:, -2:].sum(axis=1) < tol
+            left.append(idx[~done])
+            c, pop = c[done], pop[done]
+            energy = _band_term(c, j * (j + 1), 0)
+            orient = _band_term(c, np.diag(cos, 1), 1)
+            align = _band_term(c, np.diag(cos2), 0) + _band_term(c, np.diag(cos2, 2), 2)
+            for k, e, o, a, pops, cabs in zip(idx[done].tolist(), energy.tolist(), orient.tolist(),
+                                              align.tolist(), pop, np.abs(c)):
+                records[k] = PointRecord(p=p[k], sigma=sigma[k], j0=j0, j_max=jm, energy=e,
+                                         orientation=o, alignment=a, populations=pops,
+                                         coeff_abs=cabs)
+        active = np.concatenate(left)
+    for k in active.tolist():
+        records[k] = PointRecord(
+            p=p[k], sigma=sigma[k], j0=j0, j_max=-1, energy=math.nan, orientation=math.nan,
+            alignment=math.nan, populations=np.array([]), coeff_abs=np.array([]), failed=True,
+            error=(f"basis leak still above {leak_tol} at j_max={_J_MAX_CAP} "
+                   f"(P={p[k]}, sigma={sigma[k]}, J0={j0})"))
+    return records
+
+
 def evaluate_point(p: float, sigma: float, j0: int, basis_mode: str = "auto",
                    j_max: int = 9, leak_tol: float = 1e-10) -> PointRecord:
     """Propagate one grid point (spectral) and compute all observables."""
-    pulse = PulseSpec(strength=p, sigma=sigma)
-    try:
-        if basis_mode == "fixed":
-            basis = RotorBasis(j_max=j_max)
-        else:
-            basis = converge_basis(pulse, j0, leak_tol=leak_tol)
-        psi = propagate_spectral(pulse, j0, basis).final
-        return PointRecord(
-            p=p, sigma=sigma, j0=j0, j_max=basis.j_max,
-            energy=kinetic_energy(psi),
-            orientation=orientation(psi, build_cos_matrix(basis)),
-            alignment=alignment(psi, build_cos2_matrix(basis)),
-            populations=populations(psi),
-            coeff_abs=np.abs(psi.coefficients),
-        )
-    except ConvergenceError as exc:
-        return PointRecord(p=p, sigma=sigma, j0=j0, j_max=-1,
-                           energy=math.nan, orientation=math.nan, alignment=math.nan,
-                           populations=np.array([]), coeff_abs=np.array([]),
-                           failed=True, error=str(exc))
+    return evaluate_points([p], [sigma], j0, basis_mode, j_max, leak_tol)[0]
 
 
-def _evaluate_task(args) -> PointRecord:
-    return evaluate_point(*args)
-
-
-def run_sweep(grid: SweepGrid, workers: int | None = None,
-              drop_rel_threshold: float = 0.10) -> SweepResult:
+def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
     """Evaluate every grid point, then detect drops (per fixed P) and,
     for 2-D grids, surface minima plus the shared-slope line fit.
 
     Failed points are kept in the records (marked failed) and excluded
     from detection; the sweep itself never aborts on a point failure.
+    A surface whose minima admit no line fit keeps minima_line_fit None.
     """
-    tasks = [(p, s, grid.j0, grid.basis_mode, grid.j_max, grid.leak_tol)
-             for p in grid.p_values for s in grid.sigma_values]
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(tasks) < 32:
-        records = [_evaluate_task(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (64 * (workers or 8)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
+    n_sig = len(grid.sigma_values)
+    records = evaluate_points([p for p in grid.p_values for _ in range(n_sig)],
+                              grid.sigma_values * len(grid.p_values), grid.j0,
+                              grid.basis_mode, grid.j_max, grid.leak_tol)
 
     result = SweepResult(grid=grid, records=records)
-    n_sig = len(grid.sigma_values)
     if n_sig >= 5:
         for ip, p in enumerate(grid.p_values):
             series = records[ip * n_sig:(ip + 1) * n_sig]
@@ -159,7 +206,10 @@ def run_sweep(grid: SweepGrid, workers: int | None = None,
         result.minima_2d = detect_surface_minima(result)
         pts = [(p, s) for p, s, _ in result.minima_2d]
         if len(pts) >= 2:
-            result.minima_line_fit = fit_minima_line(pts)
+            try:
+                result.minima_line_fit = fit_minima_line(pts)
+            except ValueError:      # no cluster holds two minima, or no parabola exists
+                pass
     return result
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from .analytic import coefficient_c1_of_0, zero_loci
 from .core import PulseSpec, RotorBasis, build_cos2_matrix
 from .propagate import converge_basis, delta_kick, propagate_ode, propagate_spectral
-from .sweep import SweepGrid, detect_drops, detect_surface_minima, fit_minima_line, run_sweep
+from .sweep import (SweepGrid, detect_surface_minima, evaluate_point, evaluate_points,
+                    fit_minima_line, run_sweep)
 
 # Reference drop positions and analytic loci for P = 1.5.
 DROPS_P15_J0 = (3.044, 6.234, 9.393)
@@ -38,10 +39,10 @@ def _fmt(vals) -> str:
     return "[" + ", ".join(f"{v:.4f}" for v in vals) + "]"
 
 
-def sweep_fig2(workers: int | None = None) -> "SweepResult":
+def sweep_fig2() -> "SweepResult":
     """The reference sweep: P=1.5, sigma 0.005..10 step 0.005, J0=0, auto basis."""
     grid = SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005, j0=0, basis_mode="auto")
-    return run_sweep(grid, workers=workers)
+    return run_sweep(grid)
 
 
 def check_drop_positions(result) -> CheckResult:
@@ -77,16 +78,12 @@ def check_delta_kick_limit() -> CheckResult:
     energy_err = 0.0
     for p in (0.5, 1.5, 3.0):
         for j0 in (0, 1, 2):
-            pulse = PulseSpec(strength=p, sigma=0.005)
-            basis = converge_basis(pulse, j0)
-            pops = np.abs(propagate_spectral(pulse, j0, basis).final.coefficients) ** 2
-            kick = np.abs(delta_kick(p, j0, basis).coefficients) ** 2
-            worst = max(worst, float(np.max(np.abs(pops - kick))))
+            rec = evaluate_point(p, 0.005, j0)
+            kick = np.abs(delta_kick(p, j0, RotorBasis(j_max=rec.j_max)).coefficients) ** 2
+            worst = max(worst, float(np.max(np.abs(rec.populations - kick))))
             if j0 == 0:
-                j = np.arange(basis.dim)
-                e = float(np.sum(j * (j + 1) * pops))
                 ref = 2.0 * p * p / 3.0
-                energy_err = max(energy_err, abs(e - ref) / ref)
+                energy_err = max(energy_err, abs(rec.energy - ref) / ref)
     ok = worst <= 1e-3 and energy_err <= 0.01
     return CheckResult(
         "delta-kick limit (sigma=0.005)", ok,
@@ -98,21 +95,15 @@ def check_adiabatic_limit() -> CheckResult:
     details = []
     ok = True
     for j0 in (0, 1, 2):
-        pulse = PulseSpec(strength=1.5, sigma=10.0)
-        basis = converge_basis(pulse, j0)
-        psi = propagate_spectral(pulse, j0, basis).final
-        pops = np.abs(psi.coefficients) ** 2
-        j = np.arange(basis.dim)
-        e = float(np.sum(j * (j + 1) * pops))
-        ok &= pops[j0] > 0.99 and abs(e - j0 * (j0 + 1)) < 0.05
-        details.append(f"J0={j0}: pop {pops[j0]:.4f}, E {e:.4f}")
+        rec = evaluate_point(1.5, 10.0, j0)
+        pop, e = rec.populations[j0], rec.energy
+        ok &= pop > 0.99 and abs(e - j0 * (j0 + 1)) < 0.05
+        details.append(f"J0={j0}: pop {pop:.4f}, E {e:.4f}")
     return CheckResult("adiabatic limit (sigma=10, P=1.5)", ok,
                        "; ".join(details) + " (need pop>0.99, |E - J0(J0+1)|<0.05)")
 
 
 def check_drop_cooccurrence(result) -> CheckResult:
-    from .sweep import evaluate_point
-    ok = True
     worst_ori = 0.0
     worst_ali = 0.0
     for _, sigma, _ in result.drop_loci:
@@ -149,21 +140,19 @@ def check_method_cross_validation(seed: int = 12345) -> CheckResult:
         f"max spectral norm drift {worst_drift:.2e} (tol 1e-12)")
 
 
-def check_two_level_fidelity(workers: int | None = None) -> CheckResult:
+def check_two_level_fidelity() -> CheckResult:
     # amplitude agreement for weak pulses
     worst = 0.0
+    sigmas = np.arange(2.0, 10.0 + 1e-9, 0.05).tolist()
     for p in (0.5, 1.5):
-        for sigma in np.arange(2.0, 10.0 + 1e-9, 0.05):
-            pulse = PulseSpec(strength=p, sigma=float(sigma))
-            basis = converge_basis(pulse, 0)
-            c1_full = abs(propagate_spectral(pulse, 0, basis).final.coefficients[1])
-            c1_two = abs(coefficient_c1_of_0(pulse))
-            worst = max(worst, abs(c1_full - c1_two))
+        for sigma, rec in zip(sigmas, evaluate_points([p] * len(sigmas), sigmas, 0)):
+            c1_two = abs(coefficient_c1_of_0(PulseSpec(strength=p, sigma=sigma)))
+            worst = max(worst, abs(rec.coeff_abs[1] - c1_two))
     # drop-position agreement for stronger pulses
     worst_pos = 0.0
     for p in (3.0, 5.0):
         grid = SweepGrid.from_ranges(p, 2.0, 10.0, 0.005, j0=0, basis_mode="auto")
-        res = run_sweep(grid, workers=workers)
+        res = run_sweep(grid)
         roots = [z.sigma_exact for z in zero_loci(0, p, 5) if z.sigma_exact >= 2.0]
         for _, sigma, _ in res.drop_loci:
             worst_pos = max(worst_pos, min(abs(sigma - r) for r in roots))
@@ -177,25 +166,22 @@ def check_two_level_fidelity(workers: int | None = None) -> CheckResult:
 def check_hybridization_symmetry() -> CheckResult:
     worst = 0.0
     for sigma in (3.0, 6.0):
-        pulse = PulseSpec(strength=1.5, sigma=sigma)
-        j_max = max(converge_basis(pulse, j0).j_max for j0 in range(4))
-        basis = RotorBasis(j_max=j_max)
-        c = np.stack([propagate_spectral(pulse, j0, basis).final.coefficients
-                      for j0 in range(4)])
-        mags = np.abs(c[:, :4])
+        j_max = max(evaluate_point(1.5, sigma, j0).j_max for j0 in range(4))
+        mags = np.stack([evaluate_point(1.5, sigma, j0, "fixed", j_max).coeff_abs[:4]
+                         for j0 in range(4)])
         worst = max(worst, float(np.max(np.abs(mags - mags.T))))
     ok = worst <= 1e-10
     return CheckResult("hybridization symmetry |C^m_n| = |C^n_m|", ok,
                        f"max asymmetry {worst:.2e} (tol 1e-10)")
 
 
-def check_surface_structure(workers: int | None = None) -> CheckResult:
+def check_surface_structure() -> CheckResult:
     step = 0.05
     grid = SweepGrid(
         p_values=tuple(np.round(np.arange(0.5, 10.0 + 1e-9, step), 10)),
         sigma_values=tuple(np.round(np.arange(0.5, 10.0 + 1e-9, step), 10)),
         j0=0, basis_mode="auto")
-    res = run_sweep(grid, workers=workers)
+    res = run_sweep(grid)
     minima = detect_surface_minima(res)
     if not minima:
         return CheckResult("surface minima structure", False, "no minima detected")
@@ -222,10 +208,9 @@ def check_drop_spacing(result) -> CheckResult:
         f"({math.pi:.4f}, {math.pi + 0.15:.4f})")
 
 
-def run_acceptance(workers: int | None = None, quick: bool = False,
-                   seed: int = 12345) -> list[CheckResult]:
-    """Run all acceptance checks; `quick` skips the minutes-long surface scan."""
-    fig2 = sweep_fig2(workers=workers)
+def run_acceptance(quick: bool = False, seed: int = 12345) -> list[CheckResult]:
+    """Run all acceptance checks; `quick` skips the surface scan."""
+    fig2 = sweep_fig2()
     checks = [
         check_drop_positions(fig2),
         check_analytic_loci(),
@@ -234,10 +219,10 @@ def run_acceptance(workers: int | None = None, quick: bool = False,
         check_adiabatic_limit(),
         check_drop_cooccurrence(fig2),
         check_method_cross_validation(seed=seed),
-        check_two_level_fidelity(workers=workers),
+        check_two_level_fidelity(),
         check_hybridization_symmetry(),
     ]
     if not quick:
-        checks.append(check_surface_structure(workers=workers))
+        checks.append(check_surface_structure())
     checks.append(check_drop_spacing(fig2))
     return checks

@@ -67,6 +67,22 @@ class TestExitCodes:
     def test_negative_p_is_1(self):
         assert main(["propagate", "--P", "-1", "--sigma", "1"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--P", "nan", "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "0.5"],
+         "--P must be finite and >= 0"),
+        (["sweep", "--P", "1", "--sigma-min", "1", "--sigma-max", "inf", "--sigma-step", "0.5"],
+         "--sigma-max must be finite and > 0"),
+        (["sweep", "--P-min", "1", "--P-max", "nan", "--P-step", "0.5", "--sigma-min", "1",
+          "--sigma-max", "2", "--sigma-step", "0.5"], "--P-max must be finite and >= 0"),
+        (["sweep", "--P-min", "1", "--P-max", "2", "--P-step", "0", "--sigma-min", "1",
+          "--sigma-max", "2", "--sigma-step", "0.5"], "--P-step must be finite and > 0"),
+        (["propagate", "--P", "inf", "--sigma", "1"], "--P must be finite and >= 0"),
+        (["propagate", "--P", "1", "--sigma", "nan"], "--sigma must be finite and > 0"),
+    ])
+    def test_non_finite_is_1(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_convergence_failure_is_2(self, tmp_path, capsys):
         rc = main(["propagate", "--P", "500", "--sigma", "0.001",
                    "--leak-tol", "1e-14", "--out", str(tmp_path)])
@@ -124,7 +140,7 @@ class TestPropagateCommand:
 class TestSweepCommand:
     def test_one_dimensional(self, tmp_path, capsys):
         rc = main(["sweep", "--P", "1.5", "--sigma-min", "2.0", "--sigma-max", "4.0",
-                   "--sigma-step", "0.05", "--workers", "1",
+                   "--sigma-step", "0.05",
                    "--formats", "csv,json,svg", "--out", str(tmp_path)])
         assert rc == 0
         for name in ("records.csv", "records.json", "drops.csv",
@@ -138,9 +154,22 @@ class TestSweepCommand:
     def test_two_dimensional(self, tmp_path):
         rc = main(["sweep", "--P-min", "0.5", "--P-max", "2.5", "--P-step", "0.5",
                    "--sigma-min", "2.0", "--sigma-max", "4.0", "--sigma-step", "0.5",
-                   "--workers", "1", "--formats", "csv,svg", "--out", str(tmp_path)])
+                   "--formats", "csv,svg", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "surface_heatmap.svg").exists()
+
+    def test_surface_without_line_fit(self, tmp_path):
+        # the two minima of this block lie on different parabolas, so no
+        # shared slope can be fitted; the sweep still writes its records
+        rc = main(["sweep", "--P-min", "5.3", "--P-max", "8.45", "--P-step", "0.05",
+                   "--sigma-min", "5.3", "--sigma-max", "8.45", "--sigma-step", "0.05",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "records.csv").exists()
+        doc = json.loads((tmp_path / "records.json").read_text())
+        assert len(doc["records"]) == 64 * 64
+        assert len(doc["minima"]) >= 2
+        assert "minima_line_fit" not in doc
 
 
 class TestAnalyticCommand:

@@ -45,6 +45,15 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(strength=math.nan, sigma=1.0), "strength P"),
+        (dict(strength=math.inf, sigma=1.0), "strength P"),
+        (dict(strength=1.0, sigma=math.nan), "duration sigma"),
+        (dict(strength=1.0, sigma=math.inf), "duration sigma")])
+    def test_non_finite_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PulseSpec(**kwargs)
+
 
 class TestUnitConversion:
     def test_zero_dipole_gives_zero_strength(self):

@@ -15,7 +15,7 @@ from rotorkick.serialize import (
 @pytest.fixture(scope="module")
 def result():
     grid = SweepGrid.from_ranges(1.5, 2.5, 3.5, 0.1, j0=0)
-    return run_sweep(grid, workers=1)
+    return run_sweep(grid)
 
 
 class TestColumns:
@@ -57,7 +57,7 @@ class TestRoundTrip:
 
     def test_drops_file(self, tmp_path):
         grid = SweepGrid.from_ranges(1.5, 2.0, 4.0, 0.05, j0=0)
-        res = run_sweep(grid, workers=1)
+        res = run_sweep(grid)
         assert res.drop_loci
         paths = write_records(res, tmp_path, formats=("csv",))
         assert tmp_path / "drops.csv" in paths
@@ -81,7 +81,7 @@ class TestFailures:
     def test_failures_json_written(self, tmp_path):
         grid = SweepGrid(p_values=(500.0,), sigma_values=(0.001, 0.002), j0=0,
                          leak_tol=1e-14)
-        res = run_sweep(grid, workers=1)
+        res = run_sweep(grid)
         paths = write_records(res, tmp_path)
         assert tmp_path / "failures.json" in paths
         doc = json.loads((tmp_path / "failures.json").read_text())

@@ -12,14 +12,14 @@ from rotorkick.svgplot import MissingSeriesError, PlotKind, angular_density, emi
 @pytest.fixture(scope="module")
 def line_result():
     grid = SweepGrid.from_ranges(1.5, 2.0, 4.0, 0.1, j0=0)
-    return run_sweep(grid, workers=1)
+    return run_sweep(grid)
 
 
 @pytest.fixture(scope="module")
 def surface_result():
     grid = SweepGrid(p_values=tuple(np.linspace(0.5, 2.5, 5)),
                      sigma_values=tuple(np.linspace(2.0, 4.0, 5)), j0=0)
-    return run_sweep(grid, workers=1)
+    return run_sweep(grid)
 
 
 def parse_svg(path):

@@ -4,14 +4,26 @@ import pickle
 import numpy as np
 import pytest
 
+import rotorkick.sweep
 from rotorkick import (
+    ConvergenceError,
+    PointRecord,
+    PulseSpec,
+    RotorBasis,
     SweepGrid,
+    SweepResult,
+    build_cos2_matrix,
+    build_cos_matrix,
     compare_drops_to_analytic,
+    compute_all,
+    converge_basis,
     detect_drops,
     detect_surface_minima,
     evaluate_point,
+    evaluate_points,
     fit_minima_line,
     nearest_parabola_index,
+    propagate_spectral,
     run_sweep,
     zero_loci,
 )
@@ -34,6 +46,16 @@ class TestSweepGrid:
             SweepGrid(p_values=(-1.0,), sigma_values=(1.0,))
         with pytest.raises(ValueError):
             SweepGrid(p_values=(1.0,), sigma_values=(1.0,), basis_mode="adaptive")
+
+    @pytest.mark.parametrize("field, bad", [("p_values", math.nan), ("p_values", math.inf),
+                                            ("sigma_values", math.nan),
+                                            ("sigma_values", math.inf)])
+    def test_non_finite_rejected(self, field, bad):
+        axes = {"p_values": (1.0, 2.0), "sigma_values": (1.0, 2.0)}
+        axes[field] = (1.0, bad)
+        name = "P" if field == "p_values" else "sigma"
+        with pytest.raises(ValueError, match=f"{name} values must be finite"):
+            SweepGrid(**axes)
 
 
 class TestDetectDrops:
@@ -65,7 +87,7 @@ class TestDetectDrops:
 @pytest.fixture(scope="module")
 def fig_sweep():
     grid = SweepGrid.from_ranges(1.5, 0.2, 10.0, 0.02, j0=0)
-    return run_sweep(grid, workers=2)
+    return run_sweep(grid)
 
 
 class TestRunSweepPhysics:
@@ -95,7 +117,7 @@ class TestRunSweepPhysics:
         # for J0=1 the later minima are shallow (the energy stays elevated
         # between them), so look at raw local minima rather than detected drops
         grid = SweepGrid.from_ranges(1.5, 0.2, 5.0, 0.02, j0=1)
-        res = run_sweep(grid, workers=2, drop_rel_threshold=0.02)
+        res = run_sweep(grid, drop_rel_threshold=0.02)
         e = res.energy_surface()[0]
         sig = np.asarray(grid.sigma_values)
         minima = [sig[i] for i in range(1, e.size - 1)
@@ -104,19 +126,125 @@ class TestRunSweepPhysics:
             assert min(abs(s - z.sigma_exact) for s in minima) < 0.25
 
 
-class TestDeterminism:
-    def test_worker_count_invariance(self):
-        grid = SweepGrid.from_ranges(1.5, 1.0, 4.0, 0.05, j0=0)
-        r1 = run_sweep(grid, workers=1)
-        r3 = run_sweep(grid, workers=3)
-        e1 = np.array([r.energy for r in r1.records])
-        e3 = np.array([r.energy for r in r3.records])
-        assert np.array_equal(e1, e3)
-        assert r1.drop_loci == r3.drop_loci
+def _scalar_record(p, sigma, j0, basis_mode="auto", j_max=9, leak_tol=1e-10):
+    """One point through the public scalar chain
+    converge_basis -> propagate_spectral -> compute_all."""
+    pulse = PulseSpec(strength=p, sigma=sigma)
+    try:
+        basis = (RotorBasis(j_max=j_max) if basis_mode == "fixed"
+                 else converge_basis(pulse, j0, leak_tol=leak_tol))
+    except ConvergenceError as exc:
+        return PointRecord(p=p, sigma=sigma, j0=j0, j_max=-1, energy=math.nan,
+                           orientation=math.nan, alignment=math.nan,
+                           populations=np.array([]), coeff_abs=np.array([]),
+                           failed=True, error=str(exc))
+    psi = propagate_spectral(pulse, j0, basis).final
+    obs = compute_all(psi, build_cos_matrix(basis), build_cos2_matrix(basis))
+    return PointRecord(p=p, sigma=sigma, j0=j0, j_max=basis.j_max,
+                       energy=obs.kinetic_energy, orientation=obs.orientation,
+                       alignment=obs.alignment, populations=obs.populations,
+                       coeff_abs=np.abs(psi.coefficients))
 
+
+def _assert_same_record(got, want):
+    assert (got.p, got.sigma, got.j0, got.j_max, got.failed, got.error) == \
+        (want.p, want.sigma, want.j0, want.j_max, want.failed, want.error)
+    for name in ("energy", "orientation", "alignment", "populations", "coeff_abs"):
+        a = np.asarray(getattr(got, name))
+        b = np.asarray(getattr(want, name))
+        assert a.shape == b.shape, name
+        assert np.allclose(a, b, rtol=0, atol=1e-13, equal_nan=True), name
+
+
+def _scalar_sweep(grid):
+    """run_sweep's detection applied to records from the scalar chain."""
+    n_sig = len(grid.sigma_values)
+    res = SweepResult(grid=grid, records=[_scalar_record(p, s, grid.j0)
+                                          for p in grid.p_values for s in grid.sigma_values])
+    for ip, p in enumerate(grid.p_values):
+        e = np.array([r.energy for r in res.records[ip * n_sig:(ip + 1) * n_sig]])
+        res.drop_loci += [(p, grid.sigma_values[i], e[i]) for i in detect_drops(e)]
+    if len(grid.p_values) >= 5:
+        res.minima_2d = detect_surface_minima(res)
+        res.minima_line_fit = fit_minima_line([(p, s) for p, s, _ in res.minima_2d])
+    return res
+
+
+@pytest.fixture(params=["default stack", "two-point stacks"])
+def stack_entries(request, monkeypatch):
+    """Run the engine with its own stack size and with stacks of at most two
+    points, so that splitting a round into several eigensolves is covered."""
+    if request.param == "two-point stacks":
+        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", 50)
+    return request.param
+
+
+class TestBatchedEngine:
+    """The batched engine against the scalar chain it replaces."""
+
+    def test_random_sample_matches_scalar_chain(self, stack_entries):
+        rng = np.random.default_rng(20261018)
+        p = rng.uniform(0.0, 10.0, 200).tolist()
+        s = rng.uniform(0.005, 10.0, 200).tolist()
+        j0 = rng.integers(0, 3, 200)
+        for j in (0, 1, 2):
+            idx = np.flatnonzero(j0 == j)
+            got = evaluate_points([p[k] for k in idx], [s[k] for k in idx], j)
+            for k, rec in zip(idx, got):
+                _assert_same_record(rec, _scalar_record(p[k], s[k], j))
+
+    def test_fixed_basis_matches_scalar_chain(self, stack_entries):
+        p, s = [0.0, 1.5, 4.0, 9.5], [0.01, 3.0, 6.2, 10.0]
+        for j0 in (0, 1, 2):
+            got = evaluate_points(p, s, j0, basis_mode="fixed", j_max=9)
+            for pi, si, rec in zip(p, s, got):
+                _assert_same_record(rec, _scalar_record(pi, si, j0, "fixed", 9))
+
+    def test_failed_point_matches_convergence_error(self):
+        p, s = [500.0, 1.5], [0.001, 3.0]
+        got = evaluate_points(p, s, 0, leak_tol=1e-14)
+        assert got[0].failed and not got[1].failed
+        for pi, si, rec in zip(p, s, got):
+            _assert_same_record(rec, _scalar_record(pi, si, 0, leak_tol=1e-14))
+
+    def test_fig2_detection_matches_scalar_chain(self, fig_sweep):
+        want = _scalar_sweep(fig_sweep.grid)
+        for got_rec, want_rec in zip(fig_sweep.records, want.records):
+            _assert_same_record(got_rec, want_rec)
+        assert fig_sweep.drop_loci == want.drop_loci
+
+    def test_surface_detection_matches_scalar_chain(self):
+        axis = tuple(np.round(0.5 + 0.25 * np.arange(39), 10))
+        grid = SweepGrid(p_values=axis, sigma_values=axis, j0=0)
+        got, want = run_sweep(grid), _scalar_sweep(grid)
+        assert got.drop_loci == want.drop_loci
+        assert len(got.minima_2d) >= 2
+        assert got.minima_2d == want.minima_2d
+        assert got.minima_line_fit == want.minima_line_fit
+
+    def test_no_points(self):
+        assert evaluate_points([], [], 0) == []
+
+    @pytest.mark.parametrize("kwargs", [dict(j0=-1), dict(j0=10, basis_mode="fixed", j_max=9),
+                                        dict(j0=0, basis_mode="fixed", j_max=0),
+                                        dict(j0=0, leak_tol=0.0),
+                                        dict(j0=0, basis_mode="adaptive")])
+    def test_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            evaluate_points([1.5], [3.0], **kwargs)
+
+    @pytest.mark.parametrize("p, s", [([1.5, math.nan], [3.0, 3.0]), ([math.inf], [3.0]),
+                                      ([-1.0], [3.0]), ([1.5], [0.0]), ([1.5], [math.inf]),
+                                      ([1.5, 2.0], [3.0])])
+    def test_bad_points(self, p, s):
+        with pytest.raises(ValueError):
+            evaluate_points(p, s, 0)
+
+
+class TestDeterminism:
     def test_pickle_round_trip(self):
         grid = SweepGrid.from_ranges(1.5, 1.0, 2.0, 0.2, j0=0)
-        res = run_sweep(grid, workers=1)
+        res = run_sweep(grid)
         clone = pickle.loads(pickle.dumps(res))
         assert np.array_equal(
             np.array([r.energy for r in clone.records]),
@@ -139,7 +267,7 @@ class TestEvaluatePoint:
     def test_sweep_keeps_failed_points(self):
         grid = SweepGrid(p_values=(500.0,), sigma_values=(0.001, 0.002, 0.003, 0.004, 0.005),
                          j0=0, leak_tol=1e-14)
-        res = run_sweep(grid, workers=1)
+        res = run_sweep(grid)
         assert len(res.failures()) == 5
         assert res.drop_loci == []
 
