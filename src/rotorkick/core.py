@@ -160,6 +160,11 @@ def dimensionless_from_physical(dipole: float, field_strength: float,
     Returns PulseSpec with sigma = rot_const * duration / hbar and
     P = eta * sigma where eta = dipole * field_strength / rot_const.
     """
+    for name, value in (("dipole", dipole), ("field strength", field_strength),
+                        ("rotational constant", rot_const), ("duration", duration),
+                        ("hbar", hbar)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if field_strength <= 0 or rot_const <= 0 or duration <= 0 or hbar <= 0:
         raise ValueError("field strength, rotational constant, duration and hbar must be > 0")
     if dipole < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -33,13 +34,51 @@ def record_columns(result: SweepResult) -> list[str]:
             + [f"c_abs_{j}" for j in range(k)])
 
 
-def _record_row(rec, k: int) -> list[float]:
-    pops = np.zeros(k)
-    cabs = np.zeros(k)
-    pops[: rec.populations.size] = rec.populations
-    cabs[: rec.coeff_abs.size] = rec.coeff_abs
-    return ([rec.p, rec.sigma, rec.j0, rec.energy, rec.orientation, rec.alignment]
-            + pops.tolist() + cabs.tolist())
+def _record_matrix(result: SweepResult, k: int) -> np.ndarray:
+    """(n, 6 + 2k) float matrix of the records; populations and |C| zero-padded to k."""
+    mat = np.zeros((len(result.records), 6 + 2 * k))
+    for row, rec in zip(mat, result.records):
+        row[:6] = (rec.p, rec.sigma, rec.j0, rec.energy, rec.orientation, rec.alignment)
+        row[6:6 + k][: rec.populations.size] = rec.populations
+        row[6 + k:][: rec.coeff_abs.size] = rec.coeff_abs
+    return mat
+
+
+def _write_loci_csv(path: Path, loci) -> Path:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["P", "sigma", "energy"])
+        w.writerows([_f(p), _f(s), _f(e)] for p, s, e in loci)
+    return path
+
+
+def _json_head_tail(result: SweepResult, cols: list[str], metadata: dict | None
+                    ) -> tuple[str, str]:
+    """records.json as it would be with an empty records list, split around that list."""
+    from . import __version__
+    doc = {
+        "metadata": {
+            "config": metadata or {},
+            "code_version": __version__,
+            "timestamp": _timestamp(),
+        },
+        "columns": cols,
+        "records": [],
+    }
+    for key, loci in (("drops", result.drop_loci), ("minima", result.minima_2d)):
+        if loci:
+            doc[key] = [{"P": _f(p), "sigma": _f(s), "energy": _f(e)} for p, s, e in loci]
+    if result.minima_line_fit is not None:
+        fit = result.minima_line_fit
+        doc["minima_line_fit"] = {
+            "slope": _f(fit.slope),
+            "intercepts": {str(n): _f(b) for n, b in fit.intercepts.items()},
+            "rms_residual": _f(fit.rms_residual),
+        }
+    # Only a top-level key sits at a one-space indent after a newline, and a
+    # JSON string cannot hold a raw newline, so this split point is unique.
+    head, tail = json.dumps(doc, indent=1).split('\n "records": []', 1)
+    return head + '\n "records": [', "]" + tail + "\n"
 
 
 def write_records(result: SweepResult, outdir: str | Path,
@@ -48,71 +87,50 @@ def write_records(result: SweepResult, outdir: str | Path,
     """Write the per-point records plus any drop/minima/fit outputs.
 
     Floats are rendered with 17 significant digits so a read-back
-    round-trips bit-exactly.  Returns the paths written.
+    round-trips bit-exactly.  Each record value is rendered once and its
+    row is written to records.csv and records.json together, so memory
+    holds one row of text.  Returns the paths written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cols = record_columns(result)
-    k = (len(cols) - 6) // 2
-    rows = [_record_row(r, k) for r in result.records]
+    mat = _record_matrix(result, (len(cols) - 6) // 2)
+    csv_path = outdir / "records.csv" if "csv" in formats else None
+    json_path = outdir / "records.json" if "json" in formats else None
     written = []
 
-    if "csv" in formats:
-        path = outdir / "records.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row in rows:
-                w.writerow([str(int(row[2])) if i == 2 else _f(v)
-                            for i, v in enumerate(row)])
-        written.append(path)
+    with contextlib.ExitStack() as stack:
+        csv_fh = json_fh = None
+        if csv_path:
+            csv_fh = stack.enter_context(open(csv_path, "w", newline=""))
+            csv_fh.write(",".join(cols) + "\r\n")
+        if json_path:
+            json_fh = stack.enter_context(open(json_path, "w"))
+            head, tail = _json_head_tail(result, cols, metadata)
+            json_fh.write(head)
+        # One "%" call renders a row, its cells split by NULs.  No cell holds
+        # a comma, quote, backslash or newline, so the CSV line is what
+        # csv.writer writes and the JSON block is json.dump's indent=1 layout
+        # of a list of strings.
+        row_fmt = "\0".join([FLOAT_FMT] * len(cols))
+        sep = ""
+        for row in mat.tolist():
+            text = row_fmt % tuple(row)
+            if csv_fh:
+                csv_fh.write(text.replace("\0", ",") + "\r\n")
+            if json_fh:
+                json_fh.write(sep + '\n  [\n   "' + text.replace("\0", '",\n   "') + '"\n  ]')
+                sep = ","
+        if json_fh:
+            json_fh.write(("\n " if len(mat) else "") + tail)
 
-        if result.drop_loci:
-            path = outdir / "drops.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["P", "sigma", "energy"])
-                for p, s, e in result.drop_loci:
-                    w.writerow([_f(p), _f(s), _f(e)])
-            written.append(path)
-        if result.minima_2d:
-            path = outdir / "minima.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["P", "sigma", "energy"])
-                for p, s, e in result.minima_2d:
-                    w.writerow([_f(p), _f(s), _f(e)])
-            written.append(path)
-
-    if "json" in formats:
-        from . import __version__
-        doc = {
-            "metadata": {
-                "config": metadata or {},
-                "code_version": __version__,
-                "timestamp": _timestamp(),
-            },
-            "columns": cols,
-            "records": [[_f(v) for v in row] for row in rows],
-        }
-        if result.drop_loci:
-            doc["drops"] = [{"P": _f(p), "sigma": _f(s), "energy": _f(e)}
-                            for p, s, e in result.drop_loci]
-        if result.minima_2d:
-            doc["minima"] = [{"P": _f(p), "sigma": _f(s), "energy": _f(e)}
-                             for p, s, e in result.minima_2d]
-        if result.minima_line_fit is not None:
-            fit = result.minima_line_fit
-            doc["minima_line_fit"] = {
-                "slope": _f(fit.slope),
-                "intercepts": {str(n): _f(b) for n, b in fit.intercepts.items()},
-                "rms_residual": _f(fit.rms_residual),
-            }
-        path = outdir / "records.json"
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        written.append(path)
+    if csv_path:
+        written.append(csv_path)
+        for name, loci in (("drops.csv", result.drop_loci), ("minima.csv", result.minima_2d)):
+            if loci:
+                written.append(_write_loci_csv(outdir / name, loci))
+    if json_path:
+        written.append(json_path)
 
     failures = result.failures()
     if failures:

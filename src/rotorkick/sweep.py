@@ -62,6 +62,12 @@ class SweepGrid:
 
     @classmethod
     def from_ranges(cls, p, sigma_min, sigma_max, sigma_step, **kw) -> "SweepGrid":
+        for name, value in (("sigma_min", sigma_min), ("sigma_max", sigma_max),
+                            ("sigma_step", sigma_step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not sigma_step > 0:
+            raise ValueError(f"sigma_step must be > 0, got {sigma_step}")
         n = int(round((sigma_max - sigma_min) / sigma_step)) + 1
         sigmas = tuple(sigma_min + i * sigma_step for i in range(n))
         p_vals = tuple(p) if isinstance(p, (tuple, list)) else (float(p),)

@@ -84,6 +84,16 @@ class TestUnitConversion:
         with pytest.raises(ValueError):
             dimensionless_from_physical(1.0, 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("index, name", [(0, "dipole"), (1, "field strength"),
+                                             (2, "rotational constant"), (3, "duration"),
+                                             (4, "hbar")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, index, name, bad):
+        args = [1.5, 1.0, 1.0, 1.0, 1.0]
+        args[index] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dimensionless_from_physical(*args)
+
 
 class TestJ2Matrix:
     def test_diagonal_values(self):

@@ -57,6 +57,20 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match=f"{name} values must be finite"):
             SweepGrid(**axes)
 
+    @pytest.mark.parametrize("field, bad", [("sigma_min", math.nan), ("sigma_min", -math.inf),
+                                            ("sigma_max", math.inf), ("sigma_max", math.nan),
+                                            ("sigma_step", math.inf), ("sigma_step", math.nan)])
+    def test_from_ranges_non_finite_bound_rejected(self, field, bad):
+        bounds = {"sigma_min": 0.5, "sigma_max": 2.0, "sigma_step": 0.5}
+        bounds[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SweepGrid.from_ranges(1.5, **bounds)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5])
+    def test_from_ranges_non_positive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="^sigma_step must be > 0"):
+            SweepGrid.from_ranges(1.5, 0.5, 2.0, step)
+
 
 class TestDetectDrops:
     def test_synthetic_single_drop(self):
