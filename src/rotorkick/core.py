@@ -11,6 +11,7 @@ expanded in the free-rotor states |J, 0> for 0 <= J <= j_max.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -119,11 +120,9 @@ _BANDWIDTH = {
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Real symmetric banded operator in the free-rotor basis.
-
-    Stored dense (basis sizes stay small); the band structure is checked
-    on construction, not exploited.
-    """
+    """Real symmetric banded operator in the free-rotor basis, stored dense
+    (basis sizes stay small).  Construction checks only the shape: the builders
+    below are symmetric and banded by construction, as their tests check."""
 
     basis: RotorBasis
     kind: MatrixKind
@@ -133,12 +132,6 @@ class OperatorMatrix:
         m = np.asarray(self.entries, dtype=np.float64)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(f"matrix shape {m.shape} does not match basis dim {self.basis.dim}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("operator matrix must be exactly symmetric")
-        bw = _BANDWIDTH[self.kind]
-        i, j = np.indices(m.shape)
-        if np.any(m[np.abs(i - j) > bw] != 0.0):
-            raise ValueError(f"{self.kind.value} matrix has entries outside bandwidth {bw}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -174,45 +167,53 @@ def dimensionless_from_physical(dipole: float, field_strength: float,
     return PulseSpec(strength=eta * sigma, sigma=sigma)
 
 
+@functools.lru_cache(maxsize=512)
+def _bands(j_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only bands on {|J, 0> : J <= j_max}: J as float, <J|cos|J+1>, and the diagonal
+    and <J|cos^2|J+2> of cos^2(theta), the square of cos(theta) on a basis one level larger,
+    so that truncation does not corrupt the (j_max, j_max) entry.  Exact for m = 0."""
+    j = np.arange(j_max + 1, dtype=np.float64)
+    pad = np.sqrt((j + 1) ** 2 / ((2 * j + 3) * (2 * j + 1)))   # cos band up to J = j_max + 1
+    cos_pad = _sym(pad, 1)
+    sq = (cos_pad @ cos_pad)[: j_max + 1, : j_max + 1]
+    sq = 0.5 * (sq + sq.T)  # symmetrize away rounding asymmetry
+    bands = (j, pad[:-1].copy(), np.diag(sq).copy(), np.diag(sq, 2).copy())
+    for band in bands:
+        band.flags.writeable = False
+    return bands
+
+
+def _sym(band: np.ndarray, k: int, diag=0.0) -> np.ndarray:
+    """Dense symmetric matrices, stacked like band: diag on the diagonal, band at +-k."""
+    d = band.shape[-1] + k
+    m = np.zeros(band.shape[:-1] + (d * d,))     # flat, so that each band is a strided slice
+    m[..., ::d + 1], m[..., k:(d - k) * d:d + 1], m[..., k * d::d + 1] = diag, band, band
+    return m.reshape(band.shape[:-1] + (d, d))
+
+
+def _hamiltonians(p: np.ndarray, sigma: np.ndarray, j_max: int) -> np.ndarray:
+    """sigma J(J+1) - P cos(theta) per point, stacked; 0 - P c gives +0.0, not -0.0, at P = 0."""
+    j, cos, _, _ = _bands(j_max)
+    return _sym(0.0 - p[:, None] * cos, 1, sigma[:, None] * j * (j + 1))
+
+
 def build_j2_matrix(basis: RotorBasis) -> OperatorMatrix:
     """Angular momentum squared: diagonal J(J+1)."""
-    j = basis.j_values().astype(np.float64)
+    j = _bands(basis.j_max)[0]
     return OperatorMatrix(basis=basis, kind=MatrixKind.ANGULAR_MOMENTUM_SQUARED,
                           entries=np.diag(j * (j + 1)))
-
-
-def _cos_superdiagonal(j_max: int) -> np.ndarray:
-    """<J,0|cos(theta)|J+1,0> for J = 0 .. j_max-1."""
-    j = np.arange(j_max, dtype=np.float64)
-    return np.sqrt((j + 1) ** 2 / ((2 * j + 3) * (2 * j + 1)))
-
-
-def _cos_dense(j_max: int) -> np.ndarray:
-    band = _cos_superdiagonal(j_max)
-    return np.diag(band, 1) + np.diag(band, -1)
 
 
 def build_cos_matrix(basis: RotorBasis) -> OperatorMatrix:
     """cos(theta): symmetric tridiagonal with zero diagonal (Delta J = +-1)."""
     return OperatorMatrix(basis=basis, kind=MatrixKind.COS_THETA,
-                          entries=_cos_dense(basis.j_max))
+                          entries=_sym(_bands(basis.j_max)[1], 1))
 
 
 def build_cos2_matrix(basis: RotorBasis) -> OperatorMatrix:
-    """cos^2(theta): symmetric pentadiagonal (Delta J = 0, +-2).
-
-    Built by squaring the cos(theta) matrix on a basis enlarged by one
-    level and truncating back, so the (j_max, j_max) diagonal entry is not
-    corrupted by truncation.  Exact in the m = 0 manifold.
-    """
-    padded = _cos_dense(basis.j_max + 1)
-    sq = (padded @ padded)[: basis.dim, : basis.dim]
-    sq = 0.5 * (sq + sq.T)  # symmetrize away rounding asymmetry
-    # The product of tridiagonals is exactly pentadiagonal; zero the
-    # round-off outside the band so the band invariant holds bit-exactly.
-    i, j = np.indices(sq.shape)
-    sq[np.abs(i - j) > 2] = 0.0
-    return OperatorMatrix(basis=basis, kind=MatrixKind.COS2_THETA, entries=sq)
+    """cos^2(theta): symmetric pentadiagonal (Delta J = 0, +-2)."""
+    _, _, diag, band = _bands(basis.j_max)
+    return OperatorMatrix(basis=basis, kind=MatrixKind.COS2_THETA, entries=_sym(band, 2, diag))
 
 
 def build_hamiltonian(basis: RotorBasis, pulse: PulseSpec) -> OperatorMatrix:
@@ -220,6 +221,6 @@ def build_hamiltonian(basis: RotorBasis, pulse: PulseSpec) -> OperatorMatrix:
 
     (eta * sigma = P, so the off-diagonal band is P times the cos band.)
     """
-    j = basis.j_values().astype(np.float64)
-    h = np.diag(pulse.sigma * j * (j + 1)) - pulse.strength * _cos_dense(basis.j_max)
-    return OperatorMatrix(basis=basis, kind=MatrixKind.HAMILTONIAN, entries=h)
+    p, sigma = np.array([[pulse.strength], [pulse.sigma]], dtype=np.float64)
+    return OperatorMatrix(basis=basis, kind=MatrixKind.HAMILTONIAN,
+                          entries=_hamiltonians(p, sigma, basis.j_max)[0])

@@ -16,8 +16,15 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PulseSpec, RotorBasis, Wavepacket, build_cos_matrix, build_hamiltonian
+from .core import PulseSpec, RotorBasis, Wavepacket, _bands, _hamiltonians, _sym, build_hamiltonian
 from .kernels import rk4_propagate
+
+# The largest basis that auto mode tries before it gives up on a point.
+_J_MAX_CAP = 400
+# Most matrix entries stacked into one eigensolve.  With the eigenvectors and
+# their complex copy a stack takes about 40 bytes an entry, so this bounds a
+# stack at about 10 MiB whatever the number of points or the basis size.
+_STACK_ENTRIES = 1 << 18
 
 
 class Method(Enum):
@@ -50,6 +57,36 @@ def _report(c: np.ndarray, basis: RotorBasis, j0: int, method: Method,
     )
 
 
+def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
+    """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max: per
+    stack of at most _STACK_ENTRIES matrix entries, one eigh of the Hamiltonians,
+    then C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0)."""
+    if not 0 <= j0 <= j_max:
+        raise ValueError(f"J0={j0} outside basis (j_max={j_max})")
+    step = max(1, _STACK_ENTRIES // (j_max + 1) ** 2)
+    if p.size > step:
+        return np.concatenate([_propagate_points(p[s:s + step], sigma[s:s + step], j0, j_max)
+                               for s in range(0, p.size, step)])
+    evals, u = np.linalg.eigh(_hamiltonians(p, sigma, j_max))
+    return np.matmul(u, (np.exp(-1j * evals) * u[:, j0, :])[:, :, None])[:, :, 0]
+
+
+def _ladder(j0: int, leak_tol: float, j_max_cap: int = _J_MAX_CAP) -> range:
+    """The basis sizes that auto mode tries in turn: J0 + 4, J0 + 8, ... <= j_max_cap."""
+    if not 0 < leak_tol < 1:
+        raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
+    return range(j0 + 4, j_max_cap + 1, 4)
+
+
+def _leak(c: np.ndarray) -> np.ndarray:
+    """Population of the top two basis levels of each row of c."""
+    return (np.abs(c[:, -2:]) ** 2).sum(axis=1)
+
+
+def _leak_error(leak_tol, p, sigma, j0, j_max_cap=_J_MAX_CAP) -> str:
+    return f"basis leak still above {leak_tol} at j_max={j_max_cap} (P={p}, sigma={sigma}, J0={j0})"
+
+
 def propagate_spectral(pulse: PulseSpec, j0: int, basis: RotorBasis) -> PropagationReport:
     """Exact propagation: C(1) = U exp(-i Lambda) U^T C(0).
 
@@ -57,14 +94,8 @@ def propagate_spectral(pulse: PulseSpec, j0: int, basis: RotorBasis) -> Propagat
     on tau in [0, 1]; unitary, so the norm is preserved to machine
     precision.
     """
-    if not 0 <= j0 <= basis.j_max:
-        raise ValueError(f"J0={j0} outside basis (j_max={basis.j_max})")
-    h = build_hamiltonian(basis, pulse).entries
-    evals, u = np.linalg.eigh(h)
-    c0 = np.zeros(basis.dim, dtype=np.complex128)
-    c0[j0] = 1.0
-    c1 = u @ (np.exp(-1j * evals) * (u.T @ c0))
-    return _report(c1, basis, j0, Method.SPECTRAL)
+    p, sigma = np.array([[pulse.strength], [pulse.sigma]], dtype=np.float64)
+    return _report(_propagate_points(p, sigma, j0, basis.j_max)[0], basis, j0, Method.SPECTRAL)
 
 
 def propagate_ode(pulse: PulseSpec, j0: int, basis: RotorBasis,
@@ -89,8 +120,7 @@ def propagate_ode(pulse: PulseSpec, j0: int, basis: RotorBasis,
                    "accuracy not guaranteed")
     if warning is not None:
         warnings.warn(warning, RuntimeWarning, stacklevel=2)
-    c0 = np.zeros(basis.dim, dtype=np.complex128)
-    c0[j0] = 1.0
+    c0 = Wavepacket.pure(basis, j0).coefficients
     c1 = rk4_propagate(build_hamiltonian(basis, pulse).entries, c0, steps)
     return _report(c1, basis, j0, Method.ODE_RK4, warning=warning)
 
@@ -108,27 +138,17 @@ def delta_kick(strength: float, j0: int, basis: RotorBasis) -> Wavepacket:
     if not 0 <= j0 <= basis.j_max:
         raise ValueError(f"J0={j0} outside basis (j_max={basis.j_max})")
     pad = max(8, math.ceil(2 * strength))
-    big = RotorBasis(j_max=basis.j_max + pad)
-    cos_m = build_cos_matrix(big).entries
-    evals, u = np.linalg.eigh(cos_m)
-    c0 = np.zeros(big.dim, dtype=np.complex128)
-    c0[j0] = 1.0
-    c = u @ (np.exp(1j * strength * evals) * (u.T @ c0))
+    evals, u = np.linalg.eigh(_sym(_bands(basis.j_max + pad)[1], 1))
+    c = u @ (np.exp(1j * strength * evals) * u[j0])
     return Wavepacket(basis=basis, coefficients=c[: basis.dim], j0=j0)
 
 
 def converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
-                   j_max_cap: int = 400) -> RotorBasis:
+                   j_max_cap: int = _J_MAX_CAP) -> RotorBasis:
     """Smallest basis (j_max = J0 + 4, growing by 4) whose top-two-state
     population after spectral propagation is below leak_tol."""
-    if not 0 < leak_tol < 1:
-        raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
-    j_max = j0 + 4
-    while j_max <= j_max_cap:
-        basis = RotorBasis(j_max=j_max)
-        if propagate_spectral(pulse, j0, basis).basis_leak < leak_tol:
-            return basis
-        j_max += 4
-    raise ConvergenceError(
-        f"basis leak still above {leak_tol} at j_max={j_max_cap} "
-        f"(P={pulse.strength}, sigma={pulse.sigma}, J0={j0})")
+    p, sigma = np.array([[pulse.strength], [pulse.sigma]], dtype=np.float64)
+    for j_max in _ladder(j0, leak_tol, j_max_cap):
+        if _leak(_propagate_points(p, sigma, j0, j_max))[0] < leak_tol:
+            return RotorBasis(j_max=j_max)
+    raise ConvergenceError(_leak_error(leak_tol, pulse.strength, pulse.sigma, j0, j_max_cap))

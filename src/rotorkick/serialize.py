@@ -148,7 +148,7 @@ def read_records_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     cols = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    data = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(len(rows) - 1, len(cols))
     return cols, data
 
 
@@ -156,5 +156,6 @@ def read_records_json(path: str | Path) -> tuple[list[str], np.ndarray, dict]:
     """Read back a records.json; returns (columns, float matrix, metadata)."""
     with open(path) as fh:
         doc = json.load(fh)
-    data = np.array([[float(v) for v in row] for row in doc["records"]])
-    return doc["columns"], data, doc["metadata"]
+    rows, cols = doc["records"], doc["columns"]
+    data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), len(cols))
+    return cols, data, doc["metadata"]

@@ -1,9 +1,9 @@
 """(P, sigma) parameter sweeps with drop and surface-minima detection.
 
-Points are evaluated by one batched spectral engine: per candidate basis
-size, one eigensolve of the stacked Hamiltonians of all points not yet
-converged, then the observables from that size's operator bands.  No
-arithmetic crosses point boundaries, so batching cannot change a record.
+Points are evaluated by the spectral kernel of converge_basis and
+propagate_spectral: per candidate basis size, one eigensolve of the stacked
+Hamiltonians of all points not yet converged, then the observables from that
+size's cached operator bands.  No arithmetic crosses point boundaries.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import zero_loci
-from .core import RotorBasis, _cos_dense, build_cos2_matrix
+from .core import RotorBasis, _bands
 from .observables import _band_term
-
-# Most matrix entries stacked into one eigensolve.  With the eigenvectors and
-# their complex copy a stack takes about 40 bytes an entry, so this bounds a
-# round at about 10 MiB whatever the number of points or the basis size.
-_STACK_ENTRIES = 1 << 18
-# The largest basis converge_basis tries before it gives up on a point.
-_J_MAX_CAP = 400
+from .propagate import _ladder, _leak, _leak_error, _propagate_points
 
 
 def _check_values(name: str, values, positive: bool) -> np.ndarray:
@@ -119,13 +113,10 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
                     leak_tol: float = 1e-10) -> list[PointRecord]:
     """Propagate the points (p[k], sigma[k]) (spectral) and compute all observables.
 
-    "auto" gives each point the smallest j_max = J0 + 4, J0 + 8, ... whose
-    leak (population of the top two levels) is below leak_tol, as
-    converge_basis does; a point still above it at converge_basis's cap
-    becomes a failed record with the ConvergenceError text.  "fixed"
-    propagates every point once at j_max.  For each basis size the points
-    not yet converged share one stacked eigensolve, which makes for each
-    point the LAPACK and BLAS calls that propagate_spectral makes.
+    "auto" gives each point the smallest basis whose leak is below leak_tol, as
+    converge_basis does; a point still above it at the cap becomes a failed record
+    with the ConvergenceError text.  "fixed" propagates every point once at j_max.
+    Each basis size makes one call of the spectral kernel for all points it holds.
     """
     p_arr = _check_values("P", p, positive=False)
     s_arr = _check_values("sigma", sigma, positive=True)
@@ -134,9 +125,7 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
     if basis_mode == "fixed":
         ladder, tol = [RotorBasis(j_max=j_max).j_max], math.inf    # RotorBasis checks j_max
     elif basis_mode == "auto":
-        if not 0 < leak_tol < 1:
-            raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
-        ladder, tol = range(j0 + 4, _J_MAX_CAP + 1, 4), leak_tol
+        ladder, tol = _ladder(j0, leak_tol), leak_tol
     else:
         raise ValueError(f"unknown basis mode {basis_mode!r}")
     if ladder and not 0 <= j0 <= ladder[0]:
@@ -147,36 +136,25 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
     for jm in ladder:
         if not active.size:
             break
-        j, d = np.arange(jm + 1, dtype=np.float64), np.arange(jm + 1)
-        cos, cos2 = _cos_dense(jm), build_cos2_matrix(RotorBasis(j_max=jm)).entries
-        step = max(1, _STACK_ENTRIES // d.size ** 2)
-        left = []
-        for start in range(0, active.size, step):
-            idx = active[start:start + step]
-            h = np.zeros((idx.size, d.size, d.size))    # as build_hamiltonian, per point
-            h[:, d, d] = s_arr[idx, None] * j * (j + 1)
-            h -= p_arr[idx, None, None] * cos
-            evals, u = np.linalg.eigh(h)
-            c = np.matmul(u, (np.exp(-1j * evals) * u[:, j0, :])[:, :, None])[:, :, 0]
-            pop = np.abs(c) ** 2
-            done = pop[:, -2:].sum(axis=1) < tol
-            left.append(idx[~done])
-            c, pop = c[done], pop[done]
-            energy = _band_term(c, j * (j + 1), 0)
-            orient = _band_term(c, np.diag(cos, 1), 1)
-            align = _band_term(c, np.diag(cos2), 0) + _band_term(c, np.diag(cos2, 2), 2)
-            for k, e, o, a, pops, cabs in zip(idx[done].tolist(), energy.tolist(), orient.tolist(),
-                                              align.tolist(), pop, np.abs(c)):
-                records[k] = PointRecord(p=p[k], sigma=sigma[k], j0=j0, j_max=jm, energy=e,
-                                         orientation=o, alignment=a, populations=pops,
-                                         coeff_abs=cabs)
-        active = np.concatenate(left)
+        c = _propagate_points(p_arr[active], s_arr[active], j0, jm)
+        done = _leak(c) < tol
+        idx, c, active = active[done], c[done], active[~done]
+        if not idx.size:
+            continue
+        j, cos, cos2_diag, cos2_band = _bands(jm)
+        energy = _band_term(c, j * (j + 1), 0)
+        orient = _band_term(c, cos, 1)
+        align = _band_term(c, cos2_diag, 0) + _band_term(c, cos2_band, 2)
+        for k, e, o, a, pops, cabs in zip(idx.tolist(), energy.tolist(), orient.tolist(),
+                                          align.tolist(), np.abs(c) ** 2, np.abs(c)):
+            records[k] = PointRecord(p=p[k], sigma=sigma[k], j0=j0, j_max=jm, energy=e,
+                                     orientation=o, alignment=a, populations=pops,
+                                     coeff_abs=cabs)
     for k in active.tolist():
         records[k] = PointRecord(
             p=p[k], sigma=sigma[k], j0=j0, j_max=-1, energy=math.nan, orientation=math.nan,
             alignment=math.nan, populations=np.array([]), coeff_abs=np.array([]), failed=True,
-            error=(f"basis leak still above {leak_tol} at j_max={_J_MAX_CAP} "
-                   f"(P={p[k]}, sigma={sigma[k]}, J0={j0})"))
+            error=_leak_error(leak_tol, p[k], sigma[k], j0))
     return records
 
 

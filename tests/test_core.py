@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import eval_legendre
 
 from rotorkick import (
     MatrixKind,
+    OperatorMatrix,
     PulseSpec,
     RotorBasis,
     Wavepacket,
@@ -17,6 +19,7 @@ from rotorkick import (
     build_j2_matrix,
     dimensionless_from_physical,
 )
+from rotorkick.core import _bands
 
 
 def legendre_matrix_element(j1, j2, power):
@@ -178,23 +181,61 @@ class TestHamiltonian:
         assert np.allclose(h, [[0.0, -g], [-g, 2.0]], rtol=0, atol=1e-15)
 
 
+# Basis sizes and builders at which the builders' invariants are checked; the
+# Hamiltonian at a few (P, sigma), P = 0 included.
+J_MAX_SIZES = (1, 2, 9, 30, 401)
+HAMILTONIANS = [pytest.param(functools.partial(build_hamiltonian, pulse=PulseSpec(p, s)),
+                             id=f"build_hamiltonian-P={p}-sigma={s}")
+                for p, s in [(0.0, 1.0), (1.5, 3.044), (10.0, 0.25), (7.3, 9.1)]]
+# Where each operator may be non-zero: J^2 on the diagonal, cos(theta) on the
+# first off-diagonals, cos^2(theta) on the diagonal and the second ones, and
+# the Hamiltonian on the diagonal and the first off-diagonals.
+BANDS = {MatrixKind.ANGULAR_MOMENTUM_SQUARED: lambda k: k == 0,
+         MatrixKind.COS_THETA: lambda k: k == 1,
+         MatrixKind.COS2_THETA: lambda k: (k == 0) | (k == 2),
+         MatrixKind.HAMILTONIAN: lambda k: k <= 1}
+
+
 class TestMatrixInvariants:
-    @pytest.mark.parametrize("builder", [build_j2_matrix, build_cos_matrix, build_cos2_matrix])
+    """The symmetry and band structure that OperatorMatrix no longer checks
+    on construction, held by the builders at every basis size."""
+
+    @pytest.mark.parametrize("builder", [build_j2_matrix, build_cos_matrix, build_cos2_matrix,
+                                         *HAMILTONIANS])
     def test_exact_symmetry(self, builder):
-        m = builder(RotorBasis(30)).entries
-        assert np.array_equal(m, m.T)
+        for j_max in J_MAX_SIZES:
+            m = builder(RotorBasis(j_max)).entries
+            assert m.dtype == np.float64 and m.shape == (j_max + 1, j_max + 1)
+            assert np.array_equal(m, m.T), j_max
 
     def test_band_structure(self):
-        b = RotorBasis(10)
-        i, j = np.indices((11, 11))
-        assert np.all(build_j2_matrix(b).entries[i != j] == 0)
-        assert np.all(build_cos_matrix(b).entries[np.abs(i - j) != 1] == 0)
-        assert np.all(build_cos2_matrix(b).entries[np.abs(i - j) > 2] == 0)
+        for builder in [build_j2_matrix, build_cos_matrix, build_cos2_matrix,
+                        *(h.values[0] for h in HAMILTONIANS)]:
+            for j_max in J_MAX_SIZES:
+                op = builder(RotorBasis(j_max))
+                i, j = np.indices(op.entries.shape)
+                assert np.all(op.entries[~BANDS[op.kind](np.abs(i - j))] == 0), (op.kind, j_max)
 
     def test_entries_immutable(self):
         m = build_cos_matrix(RotorBasis(3)).entries
         with pytest.raises(ValueError):
             m[0, 1] = 7.0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (4,), (2, 4, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not match basis dim 4"):
+            OperatorMatrix(RotorBasis(3), MatrixKind.COS_THETA, np.zeros(shape))
+
+    def test_cached_bands_read_only(self):
+        for j_max in (1, 9, 401):
+            bands = _bands(j_max)
+            assert [b.shape for b in bands] == [(j_max + 1,), (j_max,), (j_max + 1,), (j_max - 1,)]
+            for band in bands:
+                assert not band.flags.writeable
+                with pytest.raises(ValueError):
+                    band[0] = 7.0
+        assert _bands(9) is _bands(9)
+        assert np.array_equal(np.diag(build_cos_matrix(RotorBasis(9)).entries, 1), _bands(9)[1])
 
 
 class TestWavepacket:

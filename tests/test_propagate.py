@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
 from rotorkick import (
@@ -57,6 +59,33 @@ class TestSpectral:
                       for j0 in range(4)])
         mags = np.abs(c[:, :4])
         assert np.max(np.abs(mags - mags.T)) < 1e-10
+
+
+@st.composite
+def spectral_cases(draw):
+    """(pulse, basis, m, n): P in [0, 20], sigma in [0.005, 10], j_max in
+    [1, 60] and two initial levels m, n of the basis."""
+    pulse = PulseSpec(draw(st.floats(0.0, 20.0)), draw(st.floats(0.005, 10.0)))
+    basis = RotorBasis(draw(st.integers(1, 60)))
+    level = st.integers(0, basis.j_max)
+    return pulse, basis, draw(level), draw(level)
+
+
+class TestSpectralProperties:
+    @settings(deadline=None, database=None)
+    @given(spectral_cases())
+    def test_unitary(self, case):
+        pulse, basis, m, _ = case
+        assert propagate_spectral(pulse, m, basis).norm_drift < 1e-12
+
+    @settings(deadline=None, database=None)
+    @given(spectral_cases())
+    def test_hybridization_symmetry(self, case):
+        # H is real symmetric, so exp(-iH) is symmetric: |C^m_n| = |C^n_m|
+        pulse, basis, m, n = case
+        c_m = propagate_spectral(pulse, m, basis).final.coefficients
+        c_n = propagate_spectral(pulse, n, basis).final.coefficients
+        assert abs(abs(c_m[n]) - abs(c_n[m])) < 1e-12
 
 
 class TestOde:

@@ -65,6 +65,14 @@ class TestRoundTrip:
         _, d_json, _ = read_records_json(tmp_path / "records.json")
         assert np.array_equal(d_csv, d_json)
 
+    def test_no_records_read_back_as_zero_rows(self, tmp_path):
+        res = _hand_built([])
+        write_records(res, tmp_path)
+        cols, d_csv = read_records_csv(tmp_path / "records.csv")
+        cols_json, d_json, _ = read_records_json(tmp_path / "records.json")
+        assert cols == cols_json == record_columns(res)
+        assert d_csv.shape == d_json.shape == (0, len(cols))
+
     def test_drops_file(self, tmp_path):
         grid = SweepGrid.from_ranges(1.5, 2.0, 4.0, 0.05, j0=0)
         res = run_sweep(grid)

@@ -3,17 +3,25 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import rotorkick.sweep
+import rotorkick.propagate
 from rotorkick import (
     ConvergenceError,
+    MatrixKind,
+    Method,
+    OperatorMatrix,
     PointRecord,
+    PropagationReport,
     PulseSpec,
     RotorBasis,
     SweepGrid,
     SweepResult,
+    Wavepacket,
     build_cos2_matrix,
     build_cos_matrix,
+    build_hamiltonian,
     compare_drops_to_analytic,
     compute_all,
     converge_basis,
@@ -140,34 +148,142 @@ class TestRunSweepPhysics:
             assert min(abs(s - z.sigma_exact) for s in minima) < 0.25
 
 
+# The scalar chain converge_basis -> propagate_spectral with its operator
+# builders, kept verbatim as it stood before these moved onto the shared
+# spectral kernel and the cached operator bands, as the reference that the
+# new path must match bit for bit.  Only the names changed, and
+# reference_operator makes the checks that OperatorMatrix construction made.
+def reference_operator(basis, kind, entries):
+    m = np.asarray(entries, dtype=np.float64)
+    if not np.array_equal(m, m.T):
+        raise ValueError("operator matrix must be exactly symmetric")
+    bw = {MatrixKind.COS_THETA: 1, MatrixKind.COS2_THETA: 2, MatrixKind.HAMILTONIAN: 1}[kind]
+    i, j = np.indices(m.shape)
+    if np.any(m[np.abs(i - j) > bw] != 0.0):
+        raise ValueError(f"{kind.value} matrix has entries outside bandwidth {bw}")
+    return OperatorMatrix(basis=basis, kind=kind, entries=m)
+
+
+def _cos_superdiagonal(j_max: int) -> np.ndarray:
+    """<J,0|cos(theta)|J+1,0> for J = 0 .. j_max-1."""
+    j = np.arange(j_max, dtype=np.float64)
+    return np.sqrt((j + 1) ** 2 / ((2 * j + 3) * (2 * j + 1)))
+
+
+def _cos_dense(j_max: int) -> np.ndarray:
+    band = _cos_superdiagonal(j_max)
+    return np.diag(band, 1) + np.diag(band, -1)
+
+
+def reference_build_cos_matrix(basis: RotorBasis) -> OperatorMatrix:
+    """cos(theta): symmetric tridiagonal with zero diagonal (Delta J = +-1)."""
+    return reference_operator(basis=basis, kind=MatrixKind.COS_THETA,
+                              entries=_cos_dense(basis.j_max))
+
+
+def reference_build_cos2_matrix(basis: RotorBasis) -> OperatorMatrix:
+    """cos^2(theta): symmetric pentadiagonal (Delta J = 0, +-2).
+
+    Built by squaring the cos(theta) matrix on a basis enlarged by one
+    level and truncating back, so the (j_max, j_max) diagonal entry is not
+    corrupted by truncation.  Exact in the m = 0 manifold.
+    """
+    padded = _cos_dense(basis.j_max + 1)
+    sq = (padded @ padded)[: basis.dim, : basis.dim]
+    sq = 0.5 * (sq + sq.T)  # symmetrize away rounding asymmetry
+    # The product of tridiagonals is exactly pentadiagonal; zero the
+    # round-off outside the band so the band invariant holds bit-exactly.
+    i, j = np.indices(sq.shape)
+    sq[np.abs(i - j) > 2] = 0.0
+    return reference_operator(basis=basis, kind=MatrixKind.COS2_THETA, entries=sq)
+
+
+def reference_build_hamiltonian(basis: RotorBasis, pulse: PulseSpec) -> OperatorMatrix:
+    """During-pulse Hamiltonian in reduced time: sigma * J^2 - P * cos(theta).
+
+    (eta * sigma = P, so the off-diagonal band is P times the cos band.)
+    """
+    j = basis.j_values().astype(np.float64)
+    h = np.diag(pulse.sigma * j * (j + 1)) - pulse.strength * _cos_dense(basis.j_max)
+    return reference_operator(basis=basis, kind=MatrixKind.HAMILTONIAN, entries=h)
+
+
+def _report(c: np.ndarray, basis: RotorBasis, j0: int, method: Method,
+            warning: str | None = None) -> PropagationReport:
+    pop = np.abs(c) ** 2
+    return PropagationReport(
+        final=Wavepacket(basis=basis, coefficients=c, j0=j0),
+        method=method,
+        norm_drift=abs(1.0 - float(pop.sum())),
+        basis_leak=float(pop[-2:].sum()),
+        warning=warning,
+    )
+
+
+def reference_propagate_spectral(pulse: PulseSpec, j0: int,
+                                 basis: RotorBasis) -> PropagationReport:
+    """Exact propagation: C(1) = U exp(-i Lambda) U^T C(0).
+
+    Exact for the rectangular pulse because the Hamiltonian is constant
+    on tau in [0, 1]; unitary, so the norm is preserved to machine
+    precision.
+    """
+    if not 0 <= j0 <= basis.j_max:
+        raise ValueError(f"J0={j0} outside basis (j_max={basis.j_max})")
+    h = reference_build_hamiltonian(basis, pulse).entries
+    evals, u = np.linalg.eigh(h)
+    c0 = np.zeros(basis.dim, dtype=np.complex128)
+    c0[j0] = 1.0
+    c1 = u @ (np.exp(-1j * evals) * (u.T @ c0))
+    return _report(c1, basis, j0, Method.SPECTRAL)
+
+
+def reference_converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
+                             j_max_cap: int = 400) -> RotorBasis:
+    """Smallest basis (j_max = J0 + 4, growing by 4) whose top-two-state
+    population after spectral propagation is below leak_tol."""
+    if not 0 < leak_tol < 1:
+        raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
+    j_max = j0 + 4
+    while j_max <= j_max_cap:
+        basis = RotorBasis(j_max=j_max)
+        if reference_propagate_spectral(pulse, j0, basis).basis_leak < leak_tol:
+            return basis
+        j_max += 4
+    raise ConvergenceError(
+        f"basis leak still above {leak_tol} at j_max={j_max_cap} "
+        f"(P={pulse.strength}, sigma={pulse.sigma}, J0={j0})")
+
+
 def _scalar_record(p, sigma, j0, basis_mode="auto", j_max=9, leak_tol=1e-10):
-    """One point through the public scalar chain
-    converge_basis -> propagate_spectral -> compute_all."""
+    """One point through the reference scalar chain, as a PointRecord."""
     pulse = PulseSpec(strength=p, sigma=sigma)
     try:
         basis = (RotorBasis(j_max=j_max) if basis_mode == "fixed"
-                 else converge_basis(pulse, j0, leak_tol=leak_tol))
+                 else reference_converge_basis(pulse, j0, leak_tol=leak_tol))
     except ConvergenceError as exc:
         return PointRecord(p=p, sigma=sigma, j0=j0, j_max=-1, energy=math.nan,
                            orientation=math.nan, alignment=math.nan,
                            populations=np.array([]), coeff_abs=np.array([]),
                            failed=True, error=str(exc))
-    psi = propagate_spectral(pulse, j0, basis).final
-    obs = compute_all(psi, build_cos_matrix(basis), build_cos2_matrix(basis))
+    psi = reference_propagate_spectral(pulse, j0, basis).final
+    obs = compute_all(psi, reference_build_cos_matrix(basis), reference_build_cos2_matrix(basis))
     return PointRecord(p=p, sigma=sigma, j0=j0, j_max=basis.j_max,
                        energy=obs.kinetic_energy, orientation=obs.orientation,
                        alignment=obs.alignment, populations=obs.populations,
                        coeff_abs=np.abs(psi.coefficients))
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_same_record(got, want):
     assert (got.p, got.sigma, got.j0, got.j_max, got.failed, got.error) == \
         (want.p, want.sigma, want.j0, want.j_max, want.failed, want.error)
     for name in ("energy", "orientation", "alignment", "populations", "coeff_abs"):
-        a = np.asarray(getattr(got, name))
-        b = np.asarray(getattr(want, name))
-        assert a.shape == b.shape, name
-        assert np.allclose(a, b, rtol=0, atol=1e-13, equal_nan=True), name
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
 def _scalar_sweep(grid):
@@ -189,12 +305,12 @@ def stack_entries(request, monkeypatch):
     """Run the engine with its own stack size and with stacks of at most two
     points, so that splitting a round into several eigensolves is covered."""
     if request.param == "two-point stacks":
-        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", 50)
+        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", 50)
     return request.param
 
 
 class TestBatchedEngine:
-    """The batched engine against the scalar chain it replaces."""
+    """The batched engine against the reference scalar chain."""
 
     def test_random_sample_matches_scalar_chain(self, stack_entries):
         rng = np.random.default_rng(20261018)
@@ -253,6 +369,94 @@ class TestBatchedEngine:
     def test_bad_points(self, p, s):
         with pytest.raises(ValueError):
             evaluate_points(p, s, 0)
+
+
+def _seeded_points():
+    rng = np.random.default_rng(20261018)
+    return (rng.uniform(0.0, 10.0, 200).tolist(), rng.uniform(0.005, 10.0, 200).tolist(),
+            rng.integers(0, 3, 200).tolist())
+
+
+class TestKernelGate:
+    """The public scalar chain and its builders, now on the shared kernel and
+    the cached bands, against the reference chain, bit for bit."""
+
+    @staticmethod
+    def _assert_same_point(pulse, j0, basis):
+        got = propagate_spectral(pulse, j0, basis)
+        want = reference_propagate_spectral(pulse, j0, basis)
+        assert _same_bits(got.final.coefficients, want.final.coefficients)
+        assert (got.basis_leak, got.norm_drift, got.method) == \
+            (want.basis_leak, want.norm_drift, want.method)
+        builders = [(build_hamiltonian(basis, pulse), reference_build_hamiltonian(basis, pulse)),
+                    (build_cos_matrix(basis), reference_build_cos_matrix(basis)),
+                    (build_cos2_matrix(basis), reference_build_cos2_matrix(basis))]
+        for new, ref in builders:
+            assert new.kind is ref.kind and _same_bits(new.entries, ref.entries), ref.kind
+        obs = compute_all(got.final, builders[1][0], builders[2][0])
+        ref = compute_all(want.final, builders[1][1], builders[2][1])
+        for name in ("kinetic_energy", "orientation", "alignment", "populations"):
+            assert _same_bits(getattr(obs, name), getattr(ref, name)), name
+
+    def test_random_sample_matches_reference(self):
+        for p, s, j0 in zip(*_seeded_points()):
+            pulse = PulseSpec(p, s)
+            basis = converge_basis(pulse, j0)
+            assert basis == reference_converge_basis(pulse, j0)
+            self._assert_same_point(pulse, j0, basis)
+
+    def test_fixed_basis_matches_reference(self):
+        for p, s in zip([0.0, 1.5, 4.0, 9.5], [0.01, 3.0, 6.2, 10.0]):
+            for j0 in (0, 1, 2):
+                self._assert_same_point(PulseSpec(p, s), j0, RotorBasis(9))
+
+    def test_failing_point_matches_reference(self):
+        pulse = PulseSpec(500.0, 0.001)
+        with pytest.raises(ConvergenceError) as got:
+            converge_basis(pulse, 0, leak_tol=1e-14)
+        with pytest.raises(ConvergenceError) as want:
+            reference_converge_basis(pulse, 0, leak_tol=1e-14)
+        assert str(got.value) == str(want.value)
+        assert evaluate_point(500.0, 0.001, 0, leak_tol=1e-14).error == str(want.value)
+
+    @pytest.mark.parametrize("j0, kwargs", [(0, dict(j_max_cap=12)), (-1, {}),
+                                            (0, dict(leak_tol=0.0)), (0, dict(leak_tol=1.0))])
+    def test_same_exceptions_as_reference(self, j0, kwargs):
+        pulse = PulseSpec(10.0, 0.1)
+        with pytest.raises((ValueError, ConvergenceError)) as want:
+            reference_converge_basis(pulse, j0, **kwargs)
+        with pytest.raises(want.type) as got:
+            converge_basis(pulse, j0, **kwargs)
+        assert str(got.value) == str(want.value)
+
+    def test_j0_outside_basis(self):
+        for j0 in (-1, 5):
+            with pytest.raises(ValueError, match=f"J0={j0} outside basis \\(j_max=4\\)"):
+                propagate_spectral(PulseSpec(1.0, 1.0), j0, RotorBasis(4))
+
+
+class TestBasisChoiceProperty:
+    """Auto mode's rule, in converge_basis and in evaluate_points: the chosen
+    j_max is on the ladder J0 + 4, J0 + 8, ..., its leak is below leak_tol,
+    and the leak one rung lower is not.  The leak need not fall monotonically,
+    so nothing is claimed about the rungs below that."""
+
+    @settings(deadline=None, database=None)
+    @given(st.floats(0.0, 10.0), st.floats(0.005, 10.0), st.integers(0, 3),
+           st.integers(-14, -2).map(lambda e: 10.0 ** e))
+    def test_leak_rule(self, p, sigma, j0, leak_tol):
+        def leak(j_max):
+            return evaluate_point(p, sigma, j0, "fixed", j_max).populations[-2:].sum()
+
+        rec = evaluate_point(p, sigma, j0, leak_tol=leak_tol)
+        chosen = {"converge_basis": converge_basis(PulseSpec(p, sigma), j0, leak_tol).j_max,
+                  "evaluate_points": rec.j_max}
+        assert rec.populations[-2:].sum() < leak_tol
+        for name, j_max in chosen.items():
+            assert j_max >= j0 + 4 and (j_max - j0) % 4 == 0, name
+            assert leak(j_max) < leak_tol, name
+            if j_max > j0 + 4:
+                assert not leak(j_max - 4) < leak_tol, name
 
 
 class TestDeterminism:
