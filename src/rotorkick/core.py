@@ -21,6 +21,10 @@ import numpy as np
 # Reduced Planck constant in J*s (CODATA 2018). Used only by the
 # physical-units conversion; all simulation code is dimensionless.
 HBAR_SI = 1.054571817e-34
+# The largest basis that auto mode tries before it gives up on a point.
+_J_MAX_CAP = 400
+# Most matrices each shared builder keeps (at most about 10 MiB at the cap).
+_SHARED_MATRICES = 8
 
 
 @dataclass(frozen=True)
@@ -204,14 +208,30 @@ def build_j2_matrix(basis: RotorBasis) -> OperatorMatrix:
                           entries=np.diag(j * (j + 1)))
 
 
+def _shared(build):
+    """Serve the bases up to _J_MAX_CAP from a cache of the _SHARED_MATRICES most
+    recent matrices, which callers share (their entries are read-only); larger
+    bases are built fresh."""
+    cached = functools.lru_cache(maxsize=_SHARED_MATRICES)(build)
+
+    @functools.wraps(build)
+    def builder(basis: RotorBasis) -> OperatorMatrix:
+        return (cached if basis.j_max <= _J_MAX_CAP else build)(basis)
+
+    builder.cache_info, builder.cache_clear = cached.cache_info, cached.cache_clear
+    return builder
+
+
+@_shared
 def build_cos_matrix(basis: RotorBasis) -> OperatorMatrix:
-    """cos(theta): symmetric tridiagonal with zero diagonal (Delta J = +-1)."""
+    """cos(theta): symmetric tridiagonal with zero diagonal (Delta J = +-1).  Shared, read-only."""
     return OperatorMatrix(basis=basis, kind=MatrixKind.COS_THETA,
                           entries=_sym(_bands(basis.j_max)[1], 1))
 
 
+@_shared
 def build_cos2_matrix(basis: RotorBasis) -> OperatorMatrix:
-    """cos^2(theta): symmetric pentadiagonal (Delta J = 0, +-2)."""
+    """cos^2(theta): symmetric pentadiagonal (Delta J = 0, +-2).  Shared, read-only."""
     _, _, diag, band = _bands(basis.j_max)
     return OperatorMatrix(basis=basis, kind=MatrixKind.COS2_THETA, entries=_sym(band, 2, diag))
 

@@ -9,6 +9,7 @@ impulsive limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,11 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PulseSpec, RotorBasis, Wavepacket, _bands, _hamiltonians, _sym, build_hamiltonian
+from .core import (_J_MAX_CAP, PulseSpec, RotorBasis, Wavepacket, _bands, _hamiltonians, _sym,
+                   build_hamiltonian)
 from .kernels import rk4_propagate
 
-# The largest basis that auto mode tries before it gives up on a point.
-_J_MAX_CAP = 400
 # Most matrix entries stacked into one eigensolve.  With the eigenvectors and
 # their complex copy a stack takes about 40 bytes an entry, so this bounds a
 # stack at about 10 MiB whatever the number of points or the basis size.
@@ -71,6 +71,17 @@ def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> 
     return np.matmul(u, (np.exp(-1j * evals) * u[:, j0, :])[:, :, None])[:, :, 0]
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _point(p: float, sigma: float, j0: int, j_max: int) -> np.ndarray:
+    """Read-only C(1) of the one point (p, sigma) on the basis j_max.  The last
+    call is kept, so propagate_spectral on the basis that converge_basis has
+    just accepted solves nothing again; typed, so that a J0 of another type
+    (0.0 for 0) is not served the cached state."""
+    c = _propagate_points(np.array([p]), np.array([sigma]), j0, j_max)[0]
+    c.flags.writeable = False
+    return c
+
+
 def _ladder(j0: int, leak_tol: float, j_max_cap: int = _J_MAX_CAP) -> range:
     """The basis sizes that auto mode tries in turn: J0 + 4, J0 + 8, ... <= j_max_cap."""
     if not 0 < leak_tol < 1:
@@ -94,8 +105,8 @@ def propagate_spectral(pulse: PulseSpec, j0: int, basis: RotorBasis) -> Propagat
     on tau in [0, 1]; unitary, so the norm is preserved to machine
     precision.
     """
-    p, sigma = np.array([[pulse.strength], [pulse.sigma]], dtype=np.float64)
-    return _report(_propagate_points(p, sigma, j0, basis.j_max)[0], basis, j0, Method.SPECTRAL)
+    c = _point(float(pulse.strength), float(pulse.sigma), j0, basis.j_max)
+    return _report(c.copy(), basis, j0, Method.SPECTRAL)
 
 
 def propagate_ode(pulse: PulseSpec, j0: int, basis: RotorBasis,
@@ -147,8 +158,8 @@ def converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
                    j_max_cap: int = _J_MAX_CAP) -> RotorBasis:
     """Smallest basis (j_max = J0 + 4, growing by 4) whose top-two-state
     population after spectral propagation is below leak_tol."""
-    p, sigma = np.array([[pulse.strength], [pulse.sigma]], dtype=np.float64)
+    p, sigma = float(pulse.strength), float(pulse.sigma)
     for j_max in _ladder(j0, leak_tol, j_max_cap):
-        if _leak(_propagate_points(p, sigma, j0, j_max))[0] < leak_tol:
+        if _leak(_point(p, sigma, j0, j_max)[None])[0] < leak_tol:
             return RotorBasis(j_max=j_max)
     raise ConvergenceError(_leak_error(leak_tol, pulse.strength, pulse.sigma, j0, j_max_cap))

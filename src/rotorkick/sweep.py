@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import zero_loci
 from .core import RotorBasis, _bands
-from .observables import _band_term
+from .observables import _expectations
 from .propagate import _ladder, _leak, _leak_error, _propagate_points
 
 
@@ -141,12 +141,10 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
         idx, c, active = active[done], c[done], active[~done]
         if not idx.size:
             continue
-        j, cos, cos2_diag, cos2_band = _bands(jm)
-        energy = _band_term(c, j * (j + 1), 0)
-        orient = _band_term(c, cos, 1)
-        align = _band_term(c, cos2_diag, 0) + _band_term(c, cos2_band, 2)
+        pop = abs(c) ** 2
+        energy, orient, align = _expectations(c, pop, *_bands(jm))
         for k, e, o, a, pops, cabs in zip(idx.tolist(), energy.tolist(), orient.tolist(),
-                                          align.tolist(), np.abs(c) ** 2, np.abs(c)):
+                                          align.tolist(), pop, np.abs(c)):
             records[k] = PointRecord(p=p[k], sigma=sigma[k], j0=j0, j_max=jm, energy=e,
                                      orientation=o, alignment=a, populations=pops,
                                      coeff_abs=cabs)

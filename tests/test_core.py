@@ -19,7 +19,7 @@ from rotorkick import (
     build_j2_matrix,
     dimensionless_from_physical,
 )
-from rotorkick.core import _bands
+from rotorkick.core import _bands, _sym
 
 
 def legendre_matrix_element(j1, j2, power):
@@ -236,6 +236,44 @@ class TestMatrixInvariants:
                     band[0] = 7.0
         assert _bands(9) is _bands(9)
         assert np.array_equal(np.diag(build_cos_matrix(RotorBasis(9)).entries, 1), _bands(9)[1])
+
+
+class TestSharedBuilders:
+    """build_cos_matrix and build_cos2_matrix share read-only matrices from a
+    cache of at most 8 bases, none above j_max = 400."""
+
+    BUILDERS = [(build_cos_matrix, lambda j: _sym(_bands(j)[1], 1)),
+                (build_cos2_matrix, lambda j: _sym(_bands(j)[3], 2, _bands(j)[2]))]
+
+    @pytest.mark.parametrize("builder", [build_cos_matrix, build_cos2_matrix])
+    def test_shared_and_read_only(self, builder):
+        m = builder(RotorBasis(9))
+        assert builder(RotorBasis(9)) is m
+        assert not m.entries.flags.writeable
+        with pytest.raises(ValueError):
+            m.entries[0, 1] = 7.0
+
+    @pytest.mark.parametrize("builder, fresh", BUILDERS)
+    def test_equal_to_fresh_build(self, builder, fresh):
+        builder.cache_clear()
+        for j_max in J_MAX_SIZES:
+            for m in (builder(RotorBasis(j_max)), builder(RotorBasis(j_max))):
+                want = fresh(j_max)
+                assert m.entries.shape == want.shape and m.entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("builder", [build_cos_matrix, build_cos2_matrix])
+    def test_bounded(self, builder):
+        builder.cache_clear()
+        for j_max in range(1, 30):
+            builder(RotorBasis(j_max))
+        assert builder.cache_info().maxsize == 8
+        assert builder.cache_info().currsize == 8
+        assert builder(RotorBasis(400)) is builder(RotorBasis(400))
+        before = builder.cache_info()
+        for j_max in (401, 401, 500):
+            builder(RotorBasis(j_max))
+        assert builder.cache_info() == before
+        assert builder(RotorBasis(401)) is not builder(RotorBasis(401))
 
 
 class TestWavepacket:

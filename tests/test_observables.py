@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkick import (
+    MatrixKind,
+    OperatorMatrix,
     PulseSpec,
     RotorBasis,
     Wavepacket,
@@ -175,3 +179,77 @@ class TestInvariants:
         assert obs.orientation == orientation(psi, cos_m)
         assert obs.alignment == alignment(psi, cos2_m)
         assert obs.populations.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# The observable formulas as they were written with the np.* wrappers and
+# np.diag, kept as the reference that the lean versions must equal bit for bit.
+def reference_band_term(c, band, k):
+    if k == 0:
+        return np.sum(np.abs(c) ** 2 * band, axis=-1)
+    return 2.0 * np.real(np.sum(np.conj(c[..., :-k]) * c[..., k:] * band, axis=-1))
+
+
+def reference_observables(psi, cos_mat, cos2_mat):
+    c, m = psi.coefficients, cos2_mat.entries
+    j = psi.basis.j_values().astype(np.float64)
+    return (float(reference_band_term(c, j * (j + 1), 0)),
+            float(reference_band_term(c, np.diag(cos_mat.entries, 1), 1)),
+            float(reference_band_term(c, np.diag(m), 0) + reference_band_term(c, np.diag(m, 2), 2)),
+            np.abs(c) ** 2)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def banded(basis, kind, bands):
+    """A hand-built symmetric OperatorMatrix with the given bands {k: values}."""
+    m = np.zeros((basis.dim, basis.dim))
+    for k, values in bands.items():
+        m += np.diag(values, k) + (np.diag(values, -k) if k else 0)
+    return OperatorMatrix(basis, kind, m)
+
+
+@st.composite
+def states_and_operators(draw):
+    """A random (unnormalised) state on j_max in [1, 60], the built cos and cos^2
+    matrices, and hand-built ones with arbitrary bands."""
+    basis = RotorBasis(draw(st.integers(1, 60)))
+    part = st.lists(st.floats(-1e3, 1e3), min_size=basis.dim, max_size=basis.dim)
+    c = np.array(draw(part)) + 1j * np.array(draw(part))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hand_cos = banded(basis, MatrixKind.COS_THETA, {1: rng.uniform(-2, 2, basis.j_max)})
+    hand_cos2 = banded(basis, MatrixKind.COS2_THETA,
+                       {0: rng.uniform(-2, 2, basis.dim), 2: rng.uniform(-2, 2, basis.j_max - 1)})
+    return (Wavepacket(basis, c, j0=0), (build_cos_matrix(basis), build_cos2_matrix(basis)),
+            (hand_cos, hand_cos2))
+
+
+class TestEqualityGate:
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(states_and_operators())
+    def test_bitwise_equal_to_reference(self, case):
+        psi, built, hand = case
+        for cos_m, cos2_m in (built, hand):
+            energy, ori, ali, pops = reference_observables(psi, cos_m, cos2_m)
+            obs = compute_all(psi, cos_m, cos2_m)
+            assert bits(obs.kinetic_energy) == bits(energy) == bits(kinetic_energy(psi))
+            assert bits(obs.orientation) == bits(ori) == bits(orientation(psi, cos_m))
+            assert bits(obs.alignment) == bits(ali) == bits(alignment(psi, cos2_m))
+            assert bits(obs.populations) == bits(pops)
+
+    def test_hand_built_matrix_honoured(self):
+        basis = RotorBasis(6)
+        psi = random_state(basis, 3)
+        cos_m = banded(basis, MatrixKind.COS_THETA, {1: np.linspace(0.1, 0.9, 6)})
+        cos2_m = banded(basis, MatrixKind.COS2_THETA, {0: np.full(7, 0.25), 2: np.full(5, -0.5)})
+        c = psi.coefficients
+        want_ori = float(np.real(np.conj(c) @ cos_m.entries @ c))
+        want_ali = float(np.real(np.conj(c) @ cos2_m.entries @ c))
+        obs = compute_all(psi, cos_m, cos2_m)
+        for ori, ali in ((obs.orientation, obs.alignment),
+                         (orientation(psi, cos_m), alignment(psi, cos2_m))):
+            assert ori == pytest.approx(want_ori, abs=1e-13)
+            assert ali == pytest.approx(want_ali, abs=1e-13)
+            assert abs(ori - orientation(psi, build_cos_matrix(basis))) > 1e-3
+            assert abs(ali - alignment(psi, build_cos2_matrix(basis))) > 1e-3

@@ -17,6 +17,8 @@ from rotorkick import (
     propagate_ode,
     propagate_spectral,
 )
+from rotorkick import propagate as propagate_module
+from rotorkick.propagate import _point, _propagate_points
 
 
 class TestSpectral:
@@ -182,3 +184,81 @@ class TestConvergeBasis:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             converge_basis(PulseSpec(1.0, 1.0), 0, leak_tol=2.0)
+
+
+def fresh_c1(pulse, j0, j_max):
+    """C(1) straight from the kernel, past every cache."""
+    return _propagate_points(np.array([pulse.strength]), np.array([pulse.sigma]), j0, j_max)[0]
+
+
+def assert_fresh(report, pulse, j0, basis):
+    c = report.final.coefficients
+    assert c.flags.writeable
+    assert c.tobytes() == fresh_c1(pulse, j0, basis.j_max).tobytes()
+
+
+class TestPointCache:
+    """converge_basis keeps the C(1) of the basis it accepts for the next
+    propagate_spectral; no later call may see a stale or altered state."""
+
+    PULSE_A, PULSE_B = PulseSpec(1.5, 3.044), PulseSpec(7.3, 0.9)
+
+    def setup_method(self):
+        _point.cache_clear()
+
+    def test_same_call_reuses(self):
+        basis = converge_basis(self.PULSE_A, 0)
+        hits = _point.cache_info().hits
+        assert_fresh(propagate_spectral(self.PULSE_A, 0, basis), self.PULSE_A, 0, basis)
+        assert _point.cache_info().hits == hits + 1
+
+    def test_other_pulse(self):
+        basis = converge_basis(self.PULSE_A, 0)
+        assert_fresh(propagate_spectral(self.PULSE_B, 0, basis), self.PULSE_B, 0, basis)
+
+    def test_other_j0(self):
+        basis = converge_basis(self.PULSE_A, 0)
+        assert_fresh(propagate_spectral(self.PULSE_A, 1, basis), self.PULSE_A, 1, basis)
+
+    def test_hand_made_basis(self):
+        converge_basis(self.PULSE_A, 0)
+        basis = RotorBasis(13)
+        assert_fresh(propagate_spectral(self.PULSE_A, 0, basis), self.PULSE_A, 0, basis)
+
+    def test_after_convergence_error(self):
+        pulse = PulseSpec(10.0, 0.1)
+        with pytest.raises(ConvergenceError):
+            converge_basis(pulse, 0, j_max_cap=12)
+        for j_max in (12, 8, 40):
+            basis = RotorBasis(j_max)
+            assert_fresh(propagate_spectral(pulse, 0, basis), pulse, 0, basis)
+
+    def test_mutated_result_does_not_leak(self):
+        basis = converge_basis(self.PULSE_A, 0)
+        first = propagate_spectral(self.PULSE_A, 0, basis)
+        first.final.coefficients[:] = 7.0
+        assert_fresh(propagate_spectral(self.PULSE_A, 0, basis), self.PULSE_A, 0, basis)
+        assert converge_basis(self.PULSE_A, 0) == basis
+        assert_fresh(propagate_spectral(self.PULSE_A, 0, basis), self.PULSE_A, 0, basis)
+
+    def test_cached_state_read_only(self):
+        c = _point(1.5, 3.044, 0, 8)
+        with pytest.raises(ValueError):
+            c[0] = 7.0
+
+
+class TestEigensolveCount:
+    def test_one_solve_per_ladder_round(self, monkeypatch):
+        calls = []
+
+        def counted(p, sigma, j0, j_max):
+            calls.append(j_max)
+            return _propagate_points(p, sigma, j0, j_max)
+
+        monkeypatch.setattr(propagate_module, "_propagate_points", counted)
+        _point.cache_clear()
+        for pulse, j0 in [(PulseSpec(1.5, 3.044), 0), (PulseSpec(10.0, 0.1), 2)]:
+            calls.clear()
+            basis = converge_basis(pulse, j0)
+            propagate_spectral(pulse, j0, basis)
+            assert calls == list(range(j0 + 4, basis.j_max + 1, 4))
