@@ -20,6 +20,7 @@ from .sweep import SweepResult
 W, H = 640, 440
 MARGIN = 56
 PALETTE = ["#1f77b4", "#d62728", "#e8b90c", "#2ca02c", "#9467bd", "#8c564b"]
+FAILED_FILL = 0x808080      # heatmap cell of a failed point
 
 
 class PlotKind(Enum):
@@ -46,8 +47,16 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     t = t0
     while t <= hi + 1e-12 * step:
         out.append(round(t, 12))
+        if t + step == t:       # step below the float spacing at t: t would never pass hi
+            break
         t += step
     return out
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG points text "x,y x,y ..." of two equal-length arrays, at 2 decimals."""
+    xy = np.stack((xs, ys), axis=-1).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
 
 
 class _Canvas:
@@ -87,9 +96,14 @@ class _Canvas:
         return (H - MARGIN - 16) - (y - lo) / (hi - lo) * (H - 2 * MARGIN)
 
     def polyline(self, xs, ys, color, label=None, idx=0):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
-        self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                          'stroke-width="1.3"/>')
+        """One <polyline> per run of finite points (a failed point breaks the
+        curve); the legend entry once."""
+        xs = self.px(np.asarray(xs, dtype=float))
+        ys = self.py(np.asarray(ys, dtype=float))
+        ok = np.concatenate(([False], np.isfinite(xs) & np.isfinite(ys), [False]))
+        for start, stop in np.flatnonzero(ok[1:] != ok[:-1]).reshape(-1, 2).tolist():
+            self.parts.append(f'<polyline points="{_points(xs[start:stop], ys[start:stop])}" '
+                              f'fill="none" stroke="{color}" stroke-width="1.3"/>')
         if label:
             y = MARGIN + 2 + 14 * idx
             self.parts.append(f'<line x1="{W - MARGIN - 90}" y1="{y}" x2="{W - MARGIN - 70}" '
@@ -104,20 +118,18 @@ def _line_figure(result: SweepResult, series: str, title: str, ylabel: str) -> s
     if len(result.grid.sigma_values) < 2:
         raise MissingSeriesError(f"{series} plot needs a sigma series with >= 2 points")
     sigmas = np.asarray(result.grid.sigma_values)
-    n_sig = sigmas.size
-    curves = []
-    for ip, p in enumerate(result.grid.p_values):
-        recs = result.records[ip * n_sig:(ip + 1) * n_sig]
-        ys = np.array([getattr(r, series) for r in recs])
-        curves.append((f"P={p:g}", sigmas, ys))
-    ymin = min(float(np.nanmin(c[2])) for c in curves)
-    ymax = max(float(np.nanmax(c[2])) for c in curves)
+    p_values = result.grid.p_values
+    ys = np.fromiter((getattr(r, series) for r in result.records), float,
+                     len(result.records)).reshape(len(p_values), sigmas.size)
+    finite = ys[np.isfinite(ys)]
+    # no finite value (every point failed): fixed limits, empty axes
+    ymin, ymax = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     pad = 0.05 * (ymax - ymin or 1.0)
     cv = _Canvas((float(sigmas[0]), float(sigmas[-1])), (ymin - pad, ymax + pad),
                  title, "pulse duration sigma", ylabel)
-    for i, (label, xs, ys) in enumerate(curves):
-        cv.polyline(xs, ys, PALETTE[i % len(PALETTE)],
-                    label if len(curves) > 1 else None, i)
+    for i, p in enumerate(p_values):
+        cv.polyline(sigmas, ys[i], PALETTE[i % len(PALETTE)],
+                    f"P={p:g}" if len(p_values) > 1 else None, i)
     return cv.svg()
 
 
@@ -130,28 +142,26 @@ def _coeffs_figure(result: SweepResult, n_coeffs: int = 3) -> str:
     cv = _Canvas((float(sigmas[0]), float(sigmas[-1])), (0.0, 1.05),
                  f"|C_J| vs sigma (P={result.grid.p_values[0]:g}, J0={result.grid.j0})",
                  "pulse duration sigma", "|C_J|")
+    n = len(result.records)
+    failed = np.fromiter((r.failed for r in result.records), bool, n)
     for j in range(n_coeffs):
-        ys = np.array([r.coeff_abs[j] if j < r.coeff_abs.size else 0.0
-                       for r in result.records])
+        # |C_J| beyond a point's basis is 0; a failed point has none (a gap in the curve)
+        ys = np.fromiter((r.coeff_abs[j] if j < r.coeff_abs.size else 0.0
+                          for r in result.records), float, n)
+        ys[failed] = np.nan
         cv.polyline(sigmas, ys, PALETTE[j % len(PALETTE)], f"|C_{j}|", j)
     return cv.svg()
 
 
-def _heat_color(v: float) -> str:
-    """Map [0, 1] through a dark-blue -> yellow ramp."""
-    v = min(1.0, max(0.0, v))
-    r = int(255 * min(1.0, 2 * v))
-    g = int(255 * v)
-    b = int(255 * max(0.0, 1.0 - 1.5 * v))
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
 def _heatmap_figure(result: SweepResult) -> str:
+    """One cell per grid point, log10 E through a dark-blue -> yellow ramp
+    scaled over the finite cells; a failed point is a grey cell."""
     if len(result.grid.p_values) < 2 or len(result.grid.sigma_values) < 2:
         raise MissingSeriesError("surface heatmap needs a 2-D (P, sigma) grid")
     e = result.energy_surface()
     loge = np.log10(np.maximum(e, 1e-16))
-    lo, hi = float(loge.min()), float(loge.max())
+    ok = np.isfinite(loge)
+    lo, hi = (float(loge[ok].min()), float(loge[ok].max())) if ok.any() else (0.0, 0.0)
     ps = np.asarray(result.grid.p_values)
     sigmas = np.asarray(result.grid.sigma_values)
     cv = _Canvas((float(sigmas[0]), float(sigmas[-1])), (float(ps[0]), float(ps[-1])),
@@ -159,13 +169,17 @@ def _heatmap_figure(result: SweepResult) -> str:
                  "pulse duration sigma", "pulse strength P")
     dw = (W - 2 * MARGIN) / sigmas.size
     dh = (H - 2 * MARGIN) / ps.size
-    for ip in range(ps.size):
-        for isig in range(sigmas.size):
-            v = (loge[ip, isig] - lo) / (hi - lo or 1.0)
-            x = MARGIN + isig * dw
-            y = (H - MARGIN - 16) - (ip + 1) * dh
-            cv.parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{dw + 0.5:.2f}" '
-                            f'height="{dh + 0.5:.2f}" fill="{_heat_color(v)}"/>')
+    # in [0, 1] on every finite cell, since lo and hi are the finite extremes
+    v = np.where(ok, (loge - lo) / (hi - lo or 1.0), 0.0)
+    rgb = (255 * np.stack((np.minimum(1.0, 2 * v), v, np.maximum(0.0, 1.0 - 1.5 * v)))
+           ).astype(int)                # truncation, as int() of each channel
+    fill = np.where(ok, (rgb[0] << 16) | (rgb[1] << 8) | rgb[2], FAILED_FILL)
+    cells = np.empty((ps.size, sigmas.size, 3), dtype=object)
+    cells[..., 0] = MARGIN + np.arange(sigmas.size) * dw                    # x per column
+    cells[..., 1] = ((H - MARGIN - 16) - np.arange(1, ps.size + 1) * dh)[:, None]  # y per row
+    cells[..., 2] = fill
+    cell = f'<rect x="%.2f" y="%.2f" width="{dw + 0.5:.2f}" height="{dh + 0.5:.2f}" fill="#%06x"/>'
+    cv.parts.append("\n".join([cell] * fill.size) % tuple(cells.ravel().tolist()))
     return cv.svg()
 
 
@@ -193,12 +207,10 @@ def _polar_figure(psi: Wavepacket, title: str) -> str:
         'stroke="#999" stroke-dasharray="4 3"/>',
     ]
     # field axis vertical: x = r sin(theta), y = -r cos(theta); mirror for phi symmetry
+    ys = cy - scale * r * np.cos(theta)
     for sign in (1, -1):
-        pts = " ".join(
-            f"{cx + sign * scale * ri * math.sin(t):.2f},{cy - scale * ri * math.cos(t):.2f}"
-            for t, ri in zip(theta, r))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{PALETTE[0]}" '
-                     'stroke-width="1.5"/>')
+        parts.append(f'<polyline points="{_points(cx + sign * scale * r * np.sin(theta), ys)}" '
+                     f'fill="none" stroke="{PALETTE[0]}" stroke-width="1.5"/>')
     return "\n".join(parts + ["</svg>"]) + "\n"
 
 

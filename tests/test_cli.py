@@ -1,9 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 import rotorkick.cli as cli
 from rotorkick.cli import main, parse_config
+from rotorkick.sweep import PointRecord, SweepResult
 from rotorkick.validate import CheckResult
 
 
@@ -88,6 +91,32 @@ class TestExitCodes:
                    "--leak-tol", "1e-14", "--out", str(tmp_path)])
         assert rc == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_args, n_points, plots", [
+        (["--P", "500"], 6,
+         ("energy_vs_sigma", "coeffs_vs_sigma", "orientation", "alignment")),
+        (["--P-min", "400", "--P-max", "500", "--P-step", "50"], 18, ("surface_heatmap",)),
+    ])
+    def test_all_failed_sweep_is_2(self, grid_args, n_points, plots, tmp_path, monkeypatch,
+                                   capsys):
+        # every point fails: the figures still draw and the exit code reports a
+        # numeric failure, not a usage error
+        def all_failed(grid, drop_rel_threshold):
+            return SweepResult(grid=grid, records=[
+                PointRecord(p=p, sigma=s, j0=grid.j0, j_max=-1, energy=math.nan,
+                            orientation=math.nan, alignment=math.nan,
+                            populations=np.array([]), coeff_abs=np.array([]),
+                            failed=True, error="basis did not converge")
+                for p in grid.p_values for s in grid.sigma_values])
+        monkeypatch.setattr(cli, "run_sweep", all_failed)
+        rc = main(["sweep", *grid_args, "--sigma-min", "0.001", "--sigma-max", "0.006",
+                   "--sigma-step", "0.001", "--formats", "csv,json,svg", "--out", str(tmp_path)])
+        assert rc == 2
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert len(failures) == n_points
+        assert f"{n_points} grid points failed" in capsys.readouterr().err
+        for name in plots:
+            assert (tmp_path / f"{name}.svg").read_text().endswith("</svg>\n")
 
     def test_validation_failure_is_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_acceptance", lambda **kw: [
