@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PulseSpec
+from .core import PulseSpec, _check_strength
 
 SQRT3 = math.sqrt(3.0)
 SQRT15 = math.sqrt(15.0)
@@ -115,8 +115,7 @@ def zero_loci(j0: int, strength: float, n_max: int) -> list[ZeroLocus]:
     n values with a non-positive radicand are omitted (for J0=0 this
     enforces n >= P / (sqrt(3) pi)).
     """
-    if strength < 0:
-        raise ValueError(f"P must be >= 0, got {strength}")
+    _check_strength(strength)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     p2 = strength * strength

@@ -27,6 +27,12 @@ _J_MAX_CAP = 400
 _SHARED_MATRICES = 8
 
 
+def _check_strength(strength: float) -> None:
+    """ValueError naming P unless the pulse strength is finite and >= 0."""
+    if not (math.isfinite(strength) and strength >= 0):
+        raise ValueError(f"P must be finite and >= 0, got {strength}")
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Rectangular pulse in reduced units.
@@ -187,6 +193,15 @@ def _bands(j_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return bands
 
 
+@functools.lru_cache(maxsize=512)
+def _j2(j_max: int) -> np.ndarray:
+    """Read-only J(J+1) on {|J, 0> : J <= j_max}, the diagonal of J^2."""
+    j = _bands(j_max)[0]
+    d = j * (j + 1)
+    d.flags.writeable = False
+    return d
+
+
 def _sym(band: np.ndarray, k: int, diag=0.0) -> np.ndarray:
     """Dense symmetric matrices, stacked like band: diag on the diagonal, band at +-k."""
     d = band.shape[-1] + k
@@ -203,9 +218,8 @@ def _hamiltonians(p: np.ndarray, sigma: np.ndarray, j_max: int) -> np.ndarray:
 
 def build_j2_matrix(basis: RotorBasis) -> OperatorMatrix:
     """Angular momentum squared: diagonal J(J+1)."""
-    j = _bands(basis.j_max)[0]
     return OperatorMatrix(basis=basis, kind=MatrixKind.ANGULAR_MOMENTUM_SQUARED,
-                          entries=np.diag(j * (j + 1)))
+                          entries=np.diag(_j2(basis.j_max)))
 
 
 def _shared(build):

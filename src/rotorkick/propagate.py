@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_J_MAX_CAP, PulseSpec, RotorBasis, Wavepacket, _bands, _hamiltonians, _sym,
-                   build_hamiltonian)
+from .core import (_J_MAX_CAP, PulseSpec, RotorBasis, Wavepacket, _bands, _check_strength,
+                   _hamiltonians, _sym, build_hamiltonian)
 from .kernels import rk4_propagate
 
 # Most matrix entries stacked into one eigensolve.  With the eigenvectors and
@@ -52,17 +52,21 @@ def _report(c: np.ndarray, basis: RotorBasis, j0: int, method: Method,
         final=Wavepacket(basis=basis, coefficients=c, j0=j0),
         method=method,
         norm_drift=abs(1.0 - float(pop.sum())),
-        basis_leak=float(pop[-2:].sum()),
+        basis_leak=_state_leak(c),
         warning=warning,
     )
+
+
+def _check_j0(j0: int, j_max: int) -> None:
+    if not 0 <= j0 <= j_max:
+        raise ValueError(f"J0={j0} outside basis (j_max={j_max})")
 
 
 def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
     """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max: per
     stack of at most _STACK_ENTRIES matrix entries, one eigh of the Hamiltonians,
     then C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0)."""
-    if not 0 <= j0 <= j_max:
-        raise ValueError(f"J0={j0} outside basis (j_max={j_max})")
+    _check_j0(j0, j_max)
     step = max(1, _STACK_ENTRIES // (j_max + 1) ** 2)
     if p.size > step:
         return np.concatenate([_propagate_points(p[s:s + step], sigma[s:s + step], j0, j_max)
@@ -73,11 +77,17 @@ def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> 
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _point(p: float, sigma: float, j0: int, j_max: int) -> np.ndarray:
-    """Read-only C(1) of the one point (p, sigma) on the basis j_max.  The last
-    call is kept, so propagate_spectral on the basis that converge_basis has
-    just accepted solves nothing again; typed, so that a J0 of another type
-    (0.0 for 0) is not served the cached state."""
-    c = _propagate_points(np.array([p]), np.array([sigma]), j0, j_max)[0]
+    """Read-only C(1) of the one point (p, sigma) on the basis j_max.
+
+    The arithmetic of _propagate_points, entry for entry and so bit for bit, on
+    one 2-D matrix instead of a stack of one: at these sizes the stack set-up
+    costs as much as the solve.  The last call is kept, so propagate_spectral on
+    the basis that converge_basis has just accepted solves nothing again; typed,
+    so that a J0 of another type (0.0 for 0) is not served the cached state."""
+    _check_j0(j0, j_max)
+    j, cos, _, _ = _bands(j_max)
+    evals, u = np.linalg.eigh(_sym(0.0 - p * cos, 1, sigma * j * (j + 1)))
+    c = u @ (np.exp(-1j * evals) * u[j0])
     c.flags.writeable = False
     return c
 
@@ -92,6 +102,13 @@ def _ladder(j0: int, leak_tol: float, j_max_cap: int = _J_MAX_CAP) -> range:
 def _leak(c: np.ndarray) -> np.ndarray:
     """Population of the top two basis levels of each row of c."""
     return (np.abs(c[:, -2:]) ** 2).sum(axis=1)
+
+
+def _state_leak(c: np.ndarray) -> float:
+    """_leak of one state, in Python floats: the same squares, and a sum of two
+    terms is one rounding in either order, so the same bits."""
+    a, b = np.abs(c[-2:]).tolist()
+    return a * a + b * b
 
 
 def _leak_error(leak_tol, p, sigma, j0, j_max_cap=_J_MAX_CAP) -> str:
@@ -116,8 +133,7 @@ def propagate_ode(pulse: PulseSpec, j0: int, basis: RotorBasis,
     No renormalization is applied: the reported norm drift is the
     accuracy diagnostic.  Fixed steps keep results bit-reproducible.
     """
-    if not 0 <= j0 <= basis.j_max:
-        raise ValueError(f"J0={j0} outside basis (j_max={basis.j_max})")
+    _check_j0(j0, basis.j_max)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     warning = None
@@ -144,10 +160,8 @@ def delta_kick(strength: float, j0: int, basis: RotorBasis) -> Wavepacket:
     amplitudes decay super-exponentially for J well above P, so the
     padding bounds truncation error below 1e-10 for P <= 20.
     """
-    if strength < 0:
-        raise ValueError(f"P must be >= 0, got {strength}")
-    if not 0 <= j0 <= basis.j_max:
-        raise ValueError(f"J0={j0} outside basis (j_max={basis.j_max})")
+    _check_strength(strength)
+    _check_j0(j0, basis.j_max)
     pad = max(8, math.ceil(2 * strength))
     evals, u = np.linalg.eigh(_sym(_bands(basis.j_max + pad)[1], 1))
     c = u @ (np.exp(1j * strength * evals) * u[j0])
@@ -160,6 +174,6 @@ def converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
     population after spectral propagation is below leak_tol."""
     p, sigma = float(pulse.strength), float(pulse.sigma)
     for j_max in _ladder(j0, leak_tol, j_max_cap):
-        if _leak(_point(p, sigma, j0, j_max)[None])[0] < leak_tol:
+        if _state_leak(_point(p, sigma, j0, j_max)) < leak_tol:
             return RotorBasis(j_max=j_max)
     raise ConvergenceError(_leak_error(leak_tol, pulse.strength, pulse.sigma, j0, j_max_cap))

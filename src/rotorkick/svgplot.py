@@ -21,6 +21,8 @@ W, H = 640, 440
 MARGIN = 56
 PALETTE = ["#1f77b4", "#d62728", "#e8b90c", "#2ca02c", "#9467bd", "#8c564b"]
 FAILED_FILL = 0x808080      # heatmap cell of a failed point
+# Legend rows, at y = MARGIN + 2 + 14 i, whose 12-px text (baseline y + 4) ends inside the canvas.
+LEGEND_ROWS = (H - (MARGIN + 2) - 16) // 14 + 1
 
 
 class PlotKind(Enum):
@@ -105,10 +107,15 @@ class _Canvas:
             self.parts.append(f'<polyline points="{_points(xs[start:stop], ys[start:stop])}" '
                               f'fill="none" stroke="{color}" stroke-width="1.3"/>')
         if label:
-            y = MARGIN + 2 + 14 * idx
+            self.legend(idx, label, color)
+
+    def legend(self, idx, label, color=None):
+        """Legend row idx: a stroke of color, if given, and the label."""
+        y = MARGIN + 2 + 14 * idx
+        if color:
             self.parts.append(f'<line x1="{W - MARGIN - 90}" y1="{y}" x2="{W - MARGIN - 70}" '
                               f'y2="{y}" stroke="{color}" stroke-width="2"/>')
-            self.parts.append(f'<text x="{W - MARGIN - 64}" y="{y + 4}">{escape(label)}</text>')
+        self.parts.append(f'<text x="{W - MARGIN - 64}" y="{y + 4}">{escape(label)}</text>')
 
     def svg(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -127,9 +134,13 @@ def _line_figure(result: SweepResult, series: str, title: str, ylabel: str) -> s
     pad = 0.05 * (ymax - ymin or 1.0)
     cv = _Canvas((float(sigmas[0]), float(sigmas[-1])), (ymin - pad, ymax + pad),
                  title, "pulse duration sigma", ylabel)
+    # a legend longer than the canvas ends with one "+k more" row
+    shown = len(p_values) if len(p_values) <= LEGEND_ROWS else LEGEND_ROWS - 1
     for i, p in enumerate(p_values):
         cv.polyline(sigmas, ys[i], PALETTE[i % len(PALETTE)],
-                    f"P={p:g}" if len(p_values) > 1 else None, i)
+                    f"P={p:g}" if 1 < len(p_values) and i < shown else None, i)
+    if shown < len(p_values):
+        cv.legend(shown, f"+{len(p_values) - shown} more")
     return cv.svg()
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import zero_loci
-from .core import RotorBasis, _bands
+from .core import RotorBasis, _bands, _j2
 from .observables import _expectations
-from .propagate import _ladder, _leak, _leak_error, _propagate_points
+from .propagate import _check_j0, _ladder, _leak, _leak_error, _propagate_points
 
 
 def _check_values(name: str, values, positive: bool) -> np.ndarray:
@@ -128,8 +128,8 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
         ladder, tol = _ladder(j0, leak_tol), leak_tol
     else:
         raise ValueError(f"unknown basis mode {basis_mode!r}")
-    if ladder and not 0 <= j0 <= ladder[0]:
-        raise ValueError(f"J0={j0} outside basis (j_max={ladder[0]})")
+    if ladder:
+        _check_j0(j0, ladder[0])
 
     records: list[PointRecord | None] = [None] * p_arr.size
     active = np.arange(p_arr.size)
@@ -142,7 +142,7 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
         if not idx.size:
             continue
         pop = abs(c) ** 2
-        energy, orient, align = _expectations(c, pop, *_bands(jm))
+        energy, orient, align = _expectations(c, pop, _j2(jm), *_bands(jm)[1:])
         for k, e, o, a, pops, cabs in zip(idx.tolist(), energy.tolist(), orient.tolist(),
                                           align.tolist(), pop, np.abs(c)):
             records[k] = PointRecord(p=p[k], sigma=sigma[k], j0=j0, j_max=jm, energy=e,

@@ -161,6 +161,12 @@ class TestZeroLoci:
         for z in zero_loci(1, 1e-6, 3):
             assert z.sigma_exact == pytest.approx(z.n * math.pi / 2, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("j0", [0, 1])
+    def test_non_finite_strength_rejected(self, j0, p):
+        with pytest.raises(ValueError, match=f"^P must be finite and >= 0, got {p}$"):
+            zero_loci(j0, p, 5)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             zero_loci(0, -1.0, 3)

@@ -226,7 +226,7 @@ def states_and_operators(draw):
 
 
 class TestEqualityGate:
-    @settings(deadline=None, database=None, max_examples=200)
+    @settings(max_examples=200)
     @given(states_and_operators())
     def test_bitwise_equal_to_reference(self, case):
         psi, built, hand = case

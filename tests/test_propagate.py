@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
@@ -17,8 +17,7 @@ from rotorkick import (
     propagate_ode,
     propagate_spectral,
 )
-from rotorkick import propagate as propagate_module
-from rotorkick.propagate import _point, _propagate_points
+from rotorkick.propagate import _leak, _point, _propagate_points, _state_leak
 
 
 class TestSpectral:
@@ -74,13 +73,11 @@ def spectral_cases(draw):
 
 
 class TestSpectralProperties:
-    @settings(deadline=None, database=None)
     @given(spectral_cases())
     def test_unitary(self, case):
         pulse, basis, m, _ = case
         assert propagate_spectral(pulse, m, basis).norm_drift < 1e-12
 
-    @settings(deadline=None, database=None)
     @given(spectral_cases())
     def test_hybridization_symmetry(self, case):
         # H is real symmetric, so exp(-iH) is symmetric: |C^m_n| = |C^n_m|
@@ -127,6 +124,11 @@ class TestOde:
 
 
 class TestDeltaKick:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_strength_rejected(self, p):
+        with pytest.raises(ValueError, match=f"^P must be finite and >= 0, got {p}$"):
+            delta_kick(p, 0, RotorBasis(6))
+
     def test_identity_at_zero_strength(self):
         psi = delta_kick(0.0, 2, RotorBasis(6))
         assert abs(psi.coefficients[2] - 1.0) < 1e-14
@@ -250,15 +252,47 @@ class TestPointCache:
 class TestEigensolveCount:
     def test_one_solve_per_ladder_round(self, monkeypatch):
         calls = []
+        eigh = np.linalg.eigh
 
-        def counted(p, sigma, j0, j_max):
-            calls.append(j_max)
-            return _propagate_points(p, sigma, j0, j_max)
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[-1] - 1)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(propagate_module, "_propagate_points", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         _point.cache_clear()
         for pulse, j0 in [(PulseSpec(1.5, 3.044), 0), (PulseSpec(10.0, 0.1), 2)]:
             calls.clear()
             basis = converge_basis(pulse, j0)
             propagate_spectral(pulse, j0, basis)
             assert calls == list(range(j0 + 4, basis.j_max + 1, 4))
+
+
+@st.composite
+def one_point_cases(draw):
+    """(P, sigma, J0, j_max): P in [0, 10], with P = 0 drawn on its own as well,
+    sigma in [0.005, 10], J0 in 0..3 and j_max in J0 + 1..60."""
+    p = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    j0 = draw(st.integers(0, 3))
+    return p, draw(st.floats(0.005, 10.0)), j0, draw(st.integers(j0 + 1, 60))
+
+
+class TestOnePointSolve:
+    """The 2-D solve of one point (_point) against the stacked kernel on a stack
+    of one, which stays the reference: the same bits, and the same leak."""
+
+    @given(one_point_cases())
+    def test_bitwise_equal_to_stacked_kernel(self, case):
+        p, sigma, j0, j_max = case
+        _point.cache_clear()
+        got = _point(p, sigma, j0, j_max)
+        want = _propagate_points(np.array([p]), np.array([sigma]), j0, j_max)
+        assert got.tobytes() == want[0].tobytes()
+        assert np.float64(_state_leak(got)).tobytes() == _leak(want)[0].tobytes()
+
+    @given(st.integers(1, 60), st.integers(1, 3))
+    def test_j0_above_basis_rejected(self, j_max, excess):
+        j0 = j_max + excess
+        for solve in (lambda: _point(1.5, 3.0, j0, j_max),
+                      lambda: _propagate_points(np.array([1.5]), np.array([3.0]), j0, j_max)):
+            with pytest.raises(ValueError, match=f"^J0={j0} outside basis \\(j_max={j_max}\\)$"):
+                solve()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rotorkick import SweepGrid, run_sweep
@@ -261,7 +261,6 @@ def _same_bits(a, b):
 
 
 class TestRoundTripProperty:
-    @settings(deadline=None, database=None)
     @given(sweep_results())
     def test_every_value_round_trips_bit_for_bit(self, res):
         k = (len(record_columns(res)) - 6) // 2

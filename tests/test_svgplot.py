@@ -12,8 +12,8 @@ from scipy.integrate import simpson
 
 from rotorkick import PulseSpec, RotorBasis, SweepGrid, Wavepacket, delta_kick, run_sweep
 from rotorkick import svgplot
-from rotorkick.svgplot import (H, MARGIN, PALETTE, W, MissingSeriesError, PlotKind, _Canvas,
-                               _ticks, angular_density, emit_plot)
+from rotorkick.svgplot import (H, LEGEND_ROWS, MARGIN, PALETTE, W, MissingSeriesError, PlotKind,
+                               _Canvas, _ticks, angular_density, emit_plot)
 from rotorkick.sweep import PointRecord, SweepResult
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -313,9 +313,15 @@ class TestEqualityGate:
         assert svgplot._heatmap_figure(block_result) == reference_heatmap_figure(block_result)
 
     def test_block_line_figure_with_legend(self, block_result):
-        # 64 curves: the palette cycles and every curve has its legend entry
+        # 64 curves: the palette cycles; the legend rows that fit hold the first
+        # curves' entries and its last row says how many more there are
+        last = MARGIN + 2 + 14 * (LEGEND_ROWS - 1)
+        row = re.compile(f'<(?:line x1="{W - MARGIN - 90}" y1|text x="{W - MARGIN - 64}" y)="(\\d+)"')
+        want = [ln for ln in reference_line_figure(block_result, *LINE_SERIES[0]).splitlines()
+                if not ((m := row.match(ln)) and int(m.group(1)) >= last)]
+        more = f'<text x="{W - MARGIN - 64}" y="{last + 4}">+{64 - (LEGEND_ROWS - 1)} more</text>'
         assert (svgplot._line_figure(block_result, *LINE_SERIES[0])
-                == reference_line_figure(block_result, *LINE_SERIES[0]))
+                == "\n".join(want[:-1] + [more, want[-1]]) + "\n")
 
     @pytest.mark.parametrize("psi", [
         delta_kick(1.5, 0, RotorBasis(10)),
@@ -326,7 +332,7 @@ class TestEqualityGate:
     def test_polar_figure(self, psi):
         assert svgplot._polar_figure(psi, "t") == reference_polar_figure(psi, "t")
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(finite_series())
     def test_random_finite_series(self, result):
         for series, title, ylabel in LINE_SERIES:
@@ -334,10 +340,46 @@ class TestEqualityGate:
                     == reference_line_figure(result, series, title, ylabel))
         assert svgplot._coeffs_figure(result) == reference_coeffs_figure(result)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(finite_surface())
     def test_random_finite_surface(self, result):
         assert svgplot._heatmap_figure(result) == reference_heatmap_figure(result)
+
+
+def multi_p_result(n_p):
+    """A hand-built result of n_p P values over three sigma values."""
+    grid = SweepGrid(p_values=tuple(0.25 * np.arange(1, n_p + 1)), sigma_values=(1.0, 2.0, 3.0))
+    recs = [PointRecord(p=p, sigma=s, j0=0, j_max=4, energy=p * s, orientation=p - s,
+                        alignment=p / s, populations=np.ones(5) / 5,
+                        coeff_abs=np.ones(5) / math.sqrt(5))
+            for p in grid.p_values for s in grid.sigma_values]
+    return SweepResult(grid=grid, records=recs)
+
+
+class TestLegend:
+    """A line figure's legend, one row per P value, stays inside the canvas."""
+
+    @pytest.mark.parametrize("n_p", [2, 6, LEGEND_ROWS])
+    def test_legend_that_fits_unchanged(self, n_p):
+        result = multi_p_result(n_p)
+        for series, title, ylabel in LINE_SERIES:
+            assert (svgplot._line_figure(result, series, title, ylabel)
+                    == reference_line_figure(result, series, title, ylabel))
+
+    @pytest.mark.parametrize("n_p", [LEGEND_ROWS + 1, 40])
+    def test_long_legend_ends_in_one_more_row(self, n_p):
+        result = multi_p_result(n_p)
+        root = ET.fromstring(svgplot._line_figure(result, *LINE_SERIES[0]))
+        texts = [t for t in root.iter(SVG + "text") if t.get("x") == str(W - MARGIN - 64)]
+        strokes = [ln for ln in root.iter(SVG + "line") if ln.get("x1") == str(W - MARGIN - 90)]
+        shown = [f"P={p:g}" for p in result.grid.p_values[:LEGEND_ROWS - 1]]
+        assert [t.text for t in texts] == shown + [f"+{n_p - len(shown)} more"]
+        assert len(strokes) == len(shown)
+        # a 12-px text line below each baseline still ends inside the canvas
+        assert max(float(t.get("y")) for t in texts) + 12 <= H
+        assert max(float(ln.get("y1")) for ln in strokes) <= H
+        # every curve is still drawn
+        assert len(list(root.iter(SVG + "polyline"))) == n_p
 
 
 class TestFailedPoints:

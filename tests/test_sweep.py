@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import rotorkick.propagate
@@ -441,7 +441,6 @@ class TestBasisChoiceProperty:
     and the leak one rung lower is not.  The leak need not fall monotonically,
     so nothing is claimed about the rungs below that."""
 
-    @settings(deadline=None, database=None)
     @given(st.floats(0.0, 10.0), st.floats(0.005, 10.0), st.integers(0, 3),
            st.integers(-14, -2).map(lambda e: 10.0 ** e))
     def test_leak_rule(self, p, sigma, j0, leak_tol):
@@ -557,3 +556,9 @@ class TestCompareDrops:
     def test_bad_j0(self):
         with pytest.raises(ValueError):
             compare_drops_to_analytic([3.0], 1.5, 2)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_strength_rejected(self, p):
+        # not an ordinary "unmatched" drop
+        with pytest.raises(ValueError, match="^P must be finite"):
+            compare_drops_to_analytic([3.0], p, 0)
