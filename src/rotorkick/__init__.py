@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     MatrixKind,
     OperatorMatrix,
@@ -57,4 +59,7 @@ from .sweep import (
     run_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the names above also binds their submodules (core, sweep, ...) here;
+# those stay importable as rotorkick.<module> but are not star-exported.
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -11,6 +11,7 @@ from rotorkick import (
     Method,
     PulseSpec,
     RotorBasis,
+    build_hamiltonian,
     converge_basis,
     delta_kick,
     kinetic_energy,
@@ -121,6 +122,81 @@ class TestOde:
     def test_unstable_step_count_warns(self):
         with pytest.warns(RuntimeWarning):
             propagate_ode(PulseSpec(1.0, 10.0), 0, RotorBasis(40), steps=1500)
+
+    def test_free_rotor_closed_form(self):
+        # P = 0: H is diagonal and C_J0(1) = exp(-i sigma J0 (J0 + 1)) exactly
+        for j0 in range(4):
+            c = propagate_ode(PulseSpec(0.0, 0.5), j0, RotorBasis(5), steps=20_000).final.coefficients
+            assert abs(c[j0] - cmath.exp(-0.5j * j0 * (j0 + 1))) < 1e-12
+            assert not np.delete(c, j0).any()
+
+    def test_rejects_nonpositive_steps(self):
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match=f"^steps must be >= 1, got {steps}$"):
+                propagate_ode(PulseSpec(1.5, 3.0), 0, RotorBasis(9), steps=steps)
+
+    @pytest.mark.parametrize("steps", [2500.0, np.float64(2500), True, "2500", None])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer, got "):
+            propagate_ode(PulseSpec(1.5, 3.0), 0, RotorBasis(9), steps=steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        pulse, basis = PulseSpec(1.5, 3.0), RotorBasis(9)
+        for steps in (np.int64(2500), np.int32(2500), np.uint16(2500)):
+            got = propagate_ode(pulse, 0, basis, steps=steps).final.coefficients
+            want = propagate_ode(pulse, 0, basis, steps=2500).final.coefficients
+            assert got.tobytes() == want.tobytes()
+
+
+def reference_rk4(pulse, j0, basis, steps):
+    """The four-stage RK4 loop that propagate_ode used to run, step by step:
+    the reference its precomputed step matrix is held to."""
+    a = -1j * build_hamiltonian(basis, pulse).entries
+    c = np.zeros(basis.dim, dtype=np.complex128)
+    c[j0] = 1.0
+    dt = 1.0 / steps
+    for _ in range(steps):
+        k1 = np.dot(a, c)
+        k2 = np.dot(a, c + (0.5 * dt) * k1)
+        k3 = np.dot(a, c + (0.5 * dt) * k2)
+        k4 = np.dot(a, c + dt * k3)
+        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return c
+
+
+def criterion_07_pulses():
+    """The 20 seeded pulses of validate.check_method_cross_validation."""
+    rng = np.random.default_rng(12345)
+    return [PulseSpec(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.01, 10.0)))
+            for _ in range(20)]
+
+
+class TestRk4Gate:
+    """propagate_ode against reference_rk4 within 1e-13: the step matrix
+    reorders the rounding of each step, nothing else."""
+
+    @staticmethod
+    def assert_matches_reference(pulse, j0, basis, steps):
+        got = propagate_ode(pulse, j0, basis, steps=steps)
+        assert got.warning is None
+        assert np.max(np.abs(got.final.coefficients - reference_rk4(pulse, j0, basis, steps))) <= 1e-13
+
+    def test_criterion_07_points(self):
+        for pulse in criterion_07_pulses():
+            self.assert_matches_reference(pulse, 0, converge_basis(pulse, 0), 2000)
+
+    def test_criterion_07_points_at_default_steps(self):
+        for pulse in criterion_07_pulses()[:2]:
+            self.assert_matches_reference(pulse, 0, converge_basis(pulse, 0), 100_000)
+
+    def test_higher_j0(self):
+        for j0 in (1, 2):
+            for pulse in criterion_07_pulses()[:5]:
+                self.assert_matches_reference(pulse, j0, converge_basis(pulse, j0), 2000)
+
+    def test_fixed_large_basis(self):
+        for pulse in (PulseSpec(1.5, 1.0), PulseSpec(5.0, 0.5), PulseSpec(9.0, 2.5)):
+            self.assert_matches_reference(pulse, 0, RotorBasis(40), 2000)
 
 
 class TestDeltaKick:
