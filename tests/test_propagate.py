@@ -114,6 +114,10 @@ class TestOde:
         assert rep.method is Method.ODE_RK4
         assert rep.norm_drift < 1e-10
 
+    def test_norm_preserved(self):
+        c = propagate_ode(PulseSpec(1.5, 3.0), 0, RotorBasis(9), steps=20_000).final.coefficients
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-10)
+
     def test_low_step_count_warns(self):
         with pytest.warns(RuntimeWarning):
             rep = propagate_ode(PulseSpec(1.0, 1.0), 0, RotorBasis(4), steps=500)
