@@ -279,8 +279,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                                (PlotKind.ORIENTATION, "orientation"),
                                (PlotKind.ALIGNMENT, "alignment")):
                 emit_plot(result, kind, outdir / f"{name}.svg")
-    n_fail = len(result.failures())
-    print(f"{len(result.records)} points "
+    n_fail = len(result.errors)
+    print(f"{len(result.table)} points "
           f"({n_fail} failed), {len(result.drop_loci)} drops, "
           f"{len(result.minima_2d)} surface minima -> {outdir}")
     if result.drop_loci and len(grid.p_values) == 1 and grid.j0 in (0, 1):

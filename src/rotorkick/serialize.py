@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .sweep import SweepResult
+from .sweep import COLUMNS, SweepResult
 
 FLOAT_FMT = "%.17g"
+BLOCK_ROWS = 256     # rows rendered by one "%" call
 
 
 def _f(x: float) -> str:
@@ -28,43 +29,16 @@ def _timestamp() -> str:
 
 
 def record_columns(result: SweepResult) -> list[str]:
-    k = max((r.populations.size for r in result.records if not r.failed), default=0)
-    return (["P", "sigma", "j0", "energy", "orientation", "alignment"]
-            + [f"pop_{j}" for j in range(k)]
-            + [f"c_abs_{j}" for j in range(k)])
-
-
-def _record_matrix(result: SweepResult, k: int) -> np.ndarray:
-    """(n, 6 + 2k) float matrix of the records; populations and |C| zero-padded to k."""
-    mat = np.zeros((len(result.records), 6 + 2 * k))
-    for row, rec in zip(mat, result.records):
-        row[:6] = (rec.p, rec.sigma, rec.j0, rec.energy, rec.orientation, rec.alignment)
-        row[6:6 + k][: rec.populations.size] = rec.populations
-        row[6 + k:][: rec.coeff_abs.size] = rec.coeff_abs
-    return mat
-
-
-def _write_loci_csv(path: Path, loci) -> Path:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["P", "sigma", "energy"])
-        w.writerows([_f(p), _f(s), _f(e)] for p, s, e in loci)
-    return path
+    k = (result.table.shape[1] - len(COLUMNS)) // 2
+    return list(COLUMNS) + [f"pop_{j}" for j in range(k)] + [f"c_abs_{j}" for j in range(k)]
 
 
 def _json_head_tail(result: SweepResult, cols: list[str], metadata: dict | None
                     ) -> tuple[str, str]:
     """records.json as it would be with an empty records list, split around that list."""
     from . import __version__
-    doc = {
-        "metadata": {
-            "config": metadata or {},
-            "code_version": __version__,
-            "timestamp": _timestamp(),
-        },
-        "columns": cols,
-        "records": [],
-    }
+    meta = {"config": metadata or {}, "code_version": __version__, "timestamp": _timestamp()}
+    doc = {"metadata": meta, "columns": cols, "records": []}
     for key, loci in (("drops", result.drop_loci), ("minima", result.minima_2d)):
         if loci:
             doc[key] = [{"P": _f(p), "sigma": _f(s), "energy": _f(e)} for p, s, e in loci]
@@ -86,15 +60,14 @@ def write_records(result: SweepResult, outdir: str | Path,
                   metadata: dict | None = None) -> list[Path]:
     """Write the per-point records plus any drop/minima/fit outputs.
 
-    Floats are rendered with 17 significant digits so a read-back
-    round-trips bit-exactly.  Each record value is rendered once and its
-    row is written to records.csv and records.json together, so memory
-    holds one row of text.  Returns the paths written.
+    Floats are rendered with 17 significant digits so a read-back round-trips
+    bit-exactly.  The rows of result.table are rendered BLOCK_ROWS at a time,
+    each block once for both files, so memory holds one block of text.
+    Returns the paths written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cols = record_columns(result)
-    mat = _record_matrix(result, (len(cols) - 6) // 2)
+    cols, table = record_columns(result), result.table
     csv_path = outdir / "records.csv" if "csv" in formats else None
     json_path = outdir / "records.json" if "json" in formats else None
     written = []
@@ -108,36 +81,38 @@ def write_records(result: SweepResult, outdir: str | Path,
             json_fh = stack.enter_context(open(json_path, "w"))
             head, tail = _json_head_tail(result, cols, metadata)
             json_fh.write(head)
-        # One "%" call renders a row, its cells split by NULs.  No cell holds
-        # a comma, quote, backslash or newline, so the CSV line is what
-        # csv.writer writes and the JSON block is json.dump's indent=1 layout
-        # of a list of strings.
-        row_fmt = "\0".join([FLOAT_FMT] * len(cols))
-        sep = ""
-        for row in mat.tolist():
-            text = row_fmt % tuple(row)
+        # One "%" call renders a block of rows as CSV lines.  No cell holds a
+        # comma, quote, backslash or newline, so these are the lines csv.writer
+        # writes, and two replacements give json.dump's indent=1 layout of the
+        # rows as lists of strings.
+        row_fmt = ",".join([FLOAT_FMT] * len(cols))
+        for start in range(0, len(table), BLOCK_ROWS):
+            block = table[start:start + BLOCK_ROWS]
+            text = "\r\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist())
             if csv_fh:
-                csv_fh.write(text.replace("\0", ",") + "\r\n")
+                csv_fh.write(text + "\r\n")
             if json_fh:
-                json_fh.write(sep + '\n  [\n   "' + text.replace("\0", '",\n   "') + '"\n  ]')
-                sep = ","
+                json_fh.write(("," if start else "") + '\n  [\n   "' + text.replace(
+                    ",", '",\n   "').replace("\r\n", '"\n  ],\n  [\n   "') + '"\n  ]')
         if json_fh:
-            json_fh.write(("\n " if len(mat) else "") + tail)
+            json_fh.write(("\n " if len(table) else "") + tail)
 
     if csv_path:
         written.append(csv_path)
         for name, loci in (("drops.csv", result.drop_loci), ("minima.csv", result.minima_2d)):
             if loci:
-                written.append(_write_loci_csv(outdir / name, loci))
+                rows = [f"{_f(p)},{_f(s)},{_f(e)}\r\n" for p, s, e in loci]
+                (outdir / name).write_text("".join(["P,sigma,energy\r\n"] + rows), newline="")
+                written.append(outdir / name)
     if json_path:
         written.append(json_path)
 
-    failures = result.failures()
-    if failures:
+    if result.errors:
         path = outdir / "failures.json"
+        points = result.table[list(result.errors), :2].tolist()
         with open(path, "w") as fh:
-            json.dump([{"P": r.p, "sigma": r.sigma, "error": r.error} for r in failures],
-                      fh, indent=1)
+            json.dump([{"P": p, "sigma": s, "error": e}
+                       for (p, s), e in zip(points, result.errors.values())], fh, indent=1)
             fh.write("\n")
         written.append(path)
     return written
@@ -147,9 +122,8 @@ def read_records_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read back a records.csv; returns (columns, float matrix)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    cols = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(len(rows) - 1, len(cols))
-    return cols, data
+    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    return rows[0], data.reshape(len(rows) - 1, len(rows[0]))
 
 
 def read_records_json(path: str | Path) -> tuple[list[str], np.ndarray, dict]:

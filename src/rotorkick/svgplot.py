@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .core import Wavepacket
-from .sweep import SweepResult
+from .sweep import COLUMNS, SweepResult
 
 W, H = 640, 440
 MARGIN = 56
@@ -126,8 +126,7 @@ def _line_figure(result: SweepResult, series: str, title: str, ylabel: str) -> s
         raise MissingSeriesError(f"{series} plot needs a sigma series with >= 2 points")
     sigmas = np.asarray(result.grid.sigma_values)
     p_values = result.grid.p_values
-    ys = np.fromiter((getattr(r, series) for r in result.records), float,
-                     len(result.records)).reshape(len(p_values), sigmas.size)
+    ys = result.table[:, COLUMNS.index(series)].reshape(len(p_values), sigmas.size)
     finite = ys[np.isfinite(ys)]
     # no finite value (every point failed): fixed limits, empty axes
     ymin, ymax = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
@@ -153,13 +152,12 @@ def _coeffs_figure(result: SweepResult, n_coeffs: int = 3) -> str:
     cv = _Canvas((float(sigmas[0]), float(sigmas[-1])), (0.0, 1.05),
                  f"|C_J| vs sigma (P={result.grid.p_values[0]:g}, J0={result.grid.j0})",
                  "pulse duration sigma", "|C_J|")
-    n = len(result.records)
-    failed = np.fromiter((r.failed for r in result.records), bool, n)
+    table = result.table
+    k = (table.shape[1] - len(COLUMNS)) // 2
     for j in range(n_coeffs):
         # |C_J| beyond a point's basis is 0; a failed point has none (a gap in the curve)
-        ys = np.fromiter((r.coeff_abs[j] if j < r.coeff_abs.size else 0.0
-                          for r in result.records), float, n)
-        ys[failed] = np.nan
+        ys = table[:, len(COLUMNS) + k + j].copy() if j < k else np.zeros(len(table))
+        ys[result.failed] = np.nan
         cv.polyline(sigmas, ys, PALETTE[j % len(PALETTE)], f"|C_{j}|", j)
     return cv.svg()
 
@@ -237,7 +235,7 @@ def emit_plot(result: SweepResult | None, kind: PlotKind, outpath: str | Path,
             raise MissingSeriesError("polar density plot needs a wavepacket")
         svg = _polar_figure(psi, f"angular density (J0={psi.j0})")
     else:
-        if result is None or not result.records:
+        if result is None or not len(result.table):
             raise MissingSeriesError(f"{kind.value} plot needs a non-empty sweep result")
         if kind is PlotKind.ENERGY_VS_SIGMA:
             svg = _line_figure(result, "energy",

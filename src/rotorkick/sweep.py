@@ -8,8 +8,9 @@ size's cached operator bands.  No arithmetic crosses point boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +48,8 @@ class SweepGrid:
         for name, vals, positive in (("P", self.p_values, False),
                                      ("sigma", self.sigma_values, True)):
             arr = _check_values(name, vals, positive)
-            if arr.size == 0:
-                raise ValueError(f"{name} values must be non-empty")
+            if arr.ndim != 1 or arr.size == 0:
+                raise ValueError(f"{name} values must be a non-empty 1-D sequence")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} values must be strictly increasing")
         if self.basis_mode not in ("auto", "fixed"):
@@ -56,6 +57,8 @@ class SweepGrid:
 
     @classmethod
     def from_ranges(cls, p, sigma_min, sigma_max, sigma_step, **kw) -> "SweepGrid":
+        """A grid over the P value(s) p, a number or any 1-D sequence or array,
+        and sigma_min, sigma_min + sigma_step, ... up to sigma_max."""
         for name, value in (("sigma_min", sigma_min), ("sigma_max", sigma_max),
                             ("sigma_step", sigma_step)):
             if not math.isfinite(value):
@@ -64,8 +67,7 @@ class SweepGrid:
             raise ValueError(f"sigma_step must be > 0, got {sigma_step}")
         n = int(round((sigma_max - sigma_min) / sigma_step)) + 1
         sigmas = tuple(sigma_min + i * sigma_step for i in range(n))
-        p_vals = tuple(p) if isinstance(p, (tuple, list)) else (float(p),)
-        return cls(p_values=p_vals, sigma_values=sigmas, **kw)
+        return cls(p_values=tuple(p) if np.ndim(p) else (float(p),), sigma_values=sigmas, **kw)
 
 
 @dataclass
@@ -90,34 +92,65 @@ class LineFit:
     rms_residual: float
 
 
-@dataclass
+# The leading columns of SweepResult.table; |C_J|^2 and |C_J| follow.
+COLUMNS = ("P", "sigma", "j0", "energy", "orientation", "alignment")
+
+
 class SweepResult:
-    grid: SweepGrid
-    records: list[PointRecord]                       # row-major: index = ip * n_sigma + isig
-    drop_loci: list[tuple[float, float, float]] = field(default_factory=list)   # (P, sigma, E)
-    minima_2d: list[tuple[float, float, float]] = field(default_factory=list)   # (P, sigma, E)
-    minima_line_fit: LineFit | None = None
+    """A sweep's points as columns, row-major (row = ip * n_sigma + isig).
+
+    table is records.csv's (n, 6 + 2k) matrix: the COLUMNS, then |C_J|^2 and
+    |C_J| zero-padded to the widest converged basis; a point that failed to
+    converge has NaN observables, j_max -1 and its text in errors.  records and
+    record() are views built on first use; a result built from records keeps them.
+    """
+
+    def __init__(self, grid: SweepGrid, records: list[PointRecord] | None = None,
+                 drop_loci=None, minima_2d=None, minima_line_fit: LineFit | None = None,
+                 *, columns=None):
+        self.grid, self.minima_line_fit = grid, minima_line_fit
+        self.drop_loci, self.minima_2d = drop_loci or [], minima_2d or []  # (P, sigma, E)
+        if records is not None:     # kept, shadowing the view below; columns copied from them
+            self.records = records
+            k = max((r.populations.size for r in records if not r.failed), default=0)
+            columns = (np.zeros((len(records), 6 + 2 * k)), np.array([r.j_max for r in records]),
+                       {i: r.error for i, r in enumerate(records) if r.failed})
+            for row, r in zip(columns[0], records):
+                row[:6] = (r.p, r.sigma, r.j0, r.energy, r.orientation, r.alignment)
+                row[6:6 + k][:r.populations.size] = r.populations
+                row[6 + k:][:r.coeff_abs.size] = r.coeff_abs
+        self.table, self.j_max, self.errors = columns
+        self.failed = np.isin(np.arange(len(self.table)), list(self.errors))
+
+    @functools.cached_property
+    def records(self) -> list[PointRecord]:
+        return _point_records(self.table, self.j_max, self.errors)
 
     def record(self, ip: int, isig: int) -> PointRecord:
-        return self.records[ip * len(self.grid.sigma_values) + isig]
+        n_p, n_sig = len(self.grid.p_values), len(self.grid.sigma_values)
+        if not (0 <= ip < n_p and 0 <= isig < n_sig):
+            raise IndexError(f"grid point ({ip}, {isig}) outside the {n_p} x {n_sig} grid")
+        return self.records[ip * n_sig + isig]
 
     def energy_surface(self) -> np.ndarray:
-        e = np.array([r.energy for r in self.records])
-        return e.reshape(len(self.grid.p_values), len(self.grid.sigma_values))
+        shape = len(self.grid.p_values), len(self.grid.sigma_values)
+        return self.table[:, COLUMNS.index("energy")].reshape(shape).copy()
 
     def failures(self) -> list[PointRecord]:
-        return [r for r in self.records if r.failed]
+        return [self.records[k] for k in self.errors]
 
 
-def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
-                    leak_tol: float = 1e-10) -> list[PointRecord]:
-    """Propagate the points (p[k], sigma[k]) (spectral) and compute all observables.
+def _point_records(table, j_max, errors) -> list[PointRecord]:
+    """PointRecord views of the rows of an engine's table (a failed row has j_max -1)."""
+    k = (table.shape[1] - 6) // 2
+    return [PointRecord(p, s, int(j0), jm, e, o, a, row[6:7 + jm], row[6 + k:7 + k + jm],
+                        i in errors, errors.get(i))
+            for i, (row, jm, (p, s, j0, e, o, a)) in enumerate(
+                zip(table, j_max.tolist(), table[:, :6].tolist()))]
 
-    "auto" gives each point the smallest basis whose leak is below leak_tol, as
-    converge_basis does; a point still above it at the cap becomes a failed record
-    with the ConvergenceError text.  "fixed" propagates every point once at j_max.
-    Each basis size makes one call of the spectral kernel for all points it holds.
-    """
+
+def _evaluate(p, sigma, j0, basis_mode, j_max, leak_tol):
+    """evaluate_points' work, as the (table, j_max, errors) that SweepResult holds."""
     p_arr = _check_values("P", p, positive=False)
     s_arr = _check_values("sigma", sigma, positive=True)
     if p_arr.shape != s_arr.shape or p_arr.ndim != 1:
@@ -130,8 +163,9 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
         raise ValueError(f"unknown basis mode {basis_mode!r}")
     if ladder:
         _check_j0(j0, ladder[0])
-
-    records: list[PointRecord | None] = [None] * p_arr.size
+    table = np.zeros((p_arr.size, 6))
+    table[:, 0], table[:, 1], table[:, 2], table[:, 3:] = p_arr, s_arr, j0, math.nan
+    levels = np.full(p_arr.size, -1)
     active = np.arange(p_arr.size)
     for jm in ladder:
         if not active.size:
@@ -141,19 +175,26 @@ def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
         idx, c, active = active[done], c[done], active[~done]
         if not idx.size:
             continue
+        k, old = jm + 1, (table.shape[1] - 6) // 2     # rungs grow, so k > old
+        pad = np.zeros((p_arr.size, k - old))
+        table = np.hstack((table[:, :6 + old], pad, table[:, 6 + old:], pad))
         pop = abs(c) ** 2
-        energy, orient, align = _expectations(c, pop, _j2(jm), *_bands(jm)[1:])
-        for k, e, o, a, pops, cabs in zip(idx.tolist(), energy.tolist(), orient.tolist(),
-                                          align.tolist(), pop, np.abs(c)):
-            records[k] = PointRecord(p=p[k], sigma=sigma[k], j0=j0, j_max=jm, energy=e,
-                                     orientation=o, alignment=a, populations=pops,
-                                     coeff_abs=cabs)
-    for k in active.tolist():
-        records[k] = PointRecord(
-            p=p[k], sigma=sigma[k], j0=j0, j_max=-1, energy=math.nan, orientation=math.nan,
-            alignment=math.nan, populations=np.array([]), coeff_abs=np.array([]), failed=True,
-            error=_leak_error(leak_tol, p[k], sigma[k], j0))
-    return records
+        table[idx, 3:6] = np.column_stack(_expectations(c, pop, _j2(jm), *_bands(jm)[1:]))
+        table[idx, 6:6 + k], table[idx, 6 + k:], levels[idx] = pop, np.abs(c), jm
+    return table, levels, {i: _leak_error(leak_tol, *table[i, :2].tolist(), j0)
+                           for i in active.tolist()}
+
+
+def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
+                    leak_tol: float = 1e-10) -> list[PointRecord]:
+    """Propagate the points (p[k], sigma[k]) (spectral) and compute all observables.
+
+    "auto" gives each point the smallest basis whose leak is below leak_tol, as
+    converge_basis does; a point still above it at the cap becomes a failed record
+    with the ConvergenceError text.  "fixed" propagates every point once at j_max.
+    Each basis size makes one call of the spectral kernel for all points it holds.
+    """
+    return _point_records(*_evaluate(p, sigma, j0, basis_mode, j_max, leak_tol))
 
 
 def evaluate_point(p: float, sigma: float, j0: int, basis_mode: str = "auto",
@@ -166,33 +207,46 @@ def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
     """Evaluate every grid point, then detect drops (per fixed P) and,
     for 2-D grids, surface minima plus the shared-slope line fit.
 
-    Failed points are kept in the records (marked failed) and excluded
+    Failed points are kept in the result (marked failed) and excluded
     from detection; the sweep itself never aborts on a point failure.
     A surface whose minima admit no line fit keeps minima_line_fit None.
     """
-    n_sig = len(grid.sigma_values)
-    records = evaluate_points([p for p in grid.p_values for _ in range(n_sig)],
-                              grid.sigma_values * len(grid.p_values), grid.j0,
-                              grid.basis_mode, grid.j_max, grid.leak_tol)
-
-    result = SweepResult(grid=grid, records=records)
-    if n_sig >= 5:
-        for ip, p in enumerate(grid.p_values):
-            series = records[ip * n_sig:(ip + 1) * n_sig]
-            if any(r.failed for r in series):
-                continue
-            energies = np.array([r.energy for r in series])
-            for isig in detect_drops(energies, rel_threshold=drop_rel_threshold):
-                result.drop_loci.append((p, grid.sigma_values[isig], energies[isig]))
-    if len(grid.p_values) >= 5 and n_sig >= 5 and not result.failures():
+    p_vals, s_vals = grid.p_values, grid.sigma_values
+    result = SweepResult(grid, columns=_evaluate(
+        np.repeat(p_vals, len(s_vals)), np.tile(s_vals, len(p_vals)), grid.j0,
+        grid.basis_mode, grid.j_max, grid.leak_tol))
+    e = result.energy_surface()
+    if len(s_vals) >= 5:
+        row_failed = result.failed.reshape(e.shape).any(axis=1)
+        result.drop_loci = [(p_vals[ip], s_vals[isig], e[ip, isig])
+                            for ip, isig in _drops(e, drop_rel_threshold) if not row_failed[ip]]
+    if len(p_vals) >= 5 and len(s_vals) >= 5 and not result.errors:
         result.minima_2d = detect_surface_minima(result)
-        pts = [(p, s) for p, s, _ in result.minima_2d]
-        if len(pts) >= 2:
-            try:
-                result.minima_line_fit = fit_minima_line(pts)
-            except ValueError:      # no cluster holds two minima, or no parabola exists
-                pass
+        try:
+            result.minima_line_fit = fit_minima_line([(p, s) for p, s, _ in result.minima_2d])
+        except ValueError:      # under two minima, no cluster of two, or no parabola exists
+            pass
     return result
+
+
+def _drops(e: np.ndarray, rel_threshold: float) -> list[tuple[int, int]]:
+    """(row, index) of each drop in the rows of the 2-D array e, row-major: the
+    strict local minima in one comparison, then a shoulder walk from each."""
+    minima = (e[:, 1:-1] < e[:, :-2]) & (e[:, 1:-1] < e[:, 2:])
+    out = []
+    for r in np.flatnonzero(minima.any(axis=1)).tolist():
+        row = e[r].tolist()
+        for i in (np.flatnonzero(minima[r]) + 1).tolist():
+            left = i - 1
+            while left > 0 and row[left - 1] > row[left]:
+                left -= 1
+            right = i + 1
+            while right < len(row) - 1 and row[right + 1] > row[right]:
+                right += 1
+            shoulder = min(row[left], row[right])
+            if shoulder > 0 and (shoulder - row[i]) / shoulder >= rel_threshold:
+                out.append((r, i))
+    return out
 
 
 def detect_drops(energies: np.ndarray, rel_threshold: float = 0.10) -> list[int]:
@@ -205,20 +259,7 @@ def detect_drops(energies: np.ndarray, rel_threshold: float = 0.10) -> list[int]
     e = np.asarray(energies, dtype=float)
     if e.size < 5:
         raise ValueError("drop detection needs at least 5 points")
-    out = []
-    for i in range(1, e.size - 1):
-        if not (e[i] < e[i - 1] and e[i] < e[i + 1]):
-            continue
-        left = i - 1
-        while left > 0 and e[left - 1] > e[left]:
-            left -= 1
-        right = i + 1
-        while right < e.size - 1 and e[right + 1] > e[right]:
-            right += 1
-        shoulder = min(e[left], e[right])
-        if shoulder > 0 and (shoulder - e[i]) / shoulder >= rel_threshold:
-            out.append(i)
-    return out
+    return [i for _, i in _drops(e.reshape(1, -1), rel_threshold)]
 
 
 def detect_surface_minima(result: SweepResult,
@@ -231,17 +272,14 @@ def detect_surface_minima(result: SweepResult,
         raise ValueError("surface minima detection needs a grid of at least 5x5")
     if ceiling is None:
         ceiling = float(np.percentile(e, 1.0))
-    out = []
-    for ip in range(1, e.shape[0] - 1):
-        for isig in range(1, e.shape[1] - 1):
-            v = e[ip, isig]
-            if v > ceiling:
-                continue
-            patch = e[ip - 1:ip + 2, isig - 1:isig + 2].copy()
-            patch[1, 1] = math.inf
-            if v < patch.min():
-                out.append((result.grid.p_values[ip], result.grid.sigma_values[isig], float(v)))
-    return out
+    # the 3 x 3 patch of each interior cell not above the ceiling (NaN fails any comparison)
+    ip, isig = np.nonzero(~(e[1:-1, 1:-1] > ceiling))
+    patch = np.lib.stride_tricks.sliding_window_view(e, (3, 3))[ip, isig]
+    v = patch[:, 1, 1].copy()
+    patch[:, 1, 1] = math.inf
+    keep = v < patch.min(axis=(1, 2))
+    return [(result.grid.p_values[i + 1], result.grid.sigma_values[j + 1], x)
+            for i, j, x in zip(ip[keep].tolist(), isig[keep].tolist(), v[keep].tolist())]
 
 
 def nearest_parabola_index(p: float, sigma: float, n_max: int = 40) -> int:
@@ -265,30 +303,22 @@ def fit_minima_line(minima: list[tuple[float, float]]) -> LineFit:
     clusters: dict[int, list[tuple[float, float]]] = {}
     for p, s in minima:
         clusters.setdefault(nearest_parabola_index(p, s), []).append((p, s))
-    num = 0.0
-    den = 0.0
-    for pts in clusters.values():
-        if len(pts) < 2:
-            continue
-        ps = np.array([q[0] for q in pts])
-        ss = np.array([q[1] for q in pts])
-        num += float(np.sum((ps - ps.mean()) * (ss - ss.mean())))
-        den += float(np.sum((ps - ps.mean()) ** 2))
+    arrays = {n: tuple(map(np.array, zip(*pts))) for n, pts in clusters.items()}  # (P, sigma)
+    num = den = 0.0
+    for ps, ss in arrays.values():
+        if ps.size >= 2:
+            num += float(np.sum((ps - ps.mean()) * (ss - ss.mean())))
+            den += float(np.sum((ps - ps.mean()) ** 2))
     if den == 0.0:
         raise ValueError("no cluster has 2 or more minima; cannot fit a slope")
     slope = num / den
     intercepts = {}
     sq = 0.0
-    count = 0
-    for n, pts in sorted(clusters.items()):
-        ps = np.array([q[0] for q in pts])
-        ss = np.array([q[1] for q in pts])
-        b = float(np.mean(ss - slope * ps))
-        intercepts[n] = b
+    for n, (ps, ss) in sorted(arrays.items()):
+        intercepts[n] = b = float(np.mean(ss - slope * ps))
         sq += float(np.sum((ss - slope * ps - b) ** 2))
-        count += len(pts)
     return LineFit(slope=slope, intercepts=intercepts,
-                   rms_residual=math.sqrt(sq / count))
+                   rms_residual=math.sqrt(sq / len(minima)))
 
 
 def compare_drops_to_analytic(drops: list[float], strength: float, j0: int,
@@ -305,17 +335,13 @@ def compare_drops_to_analytic(drops: list[float], strength: float, j0: int,
     loci = zero_loci(j0, strength, n_max)
     out = []
     for s in drops:
-        if loci:
-            best = min(loci, key=lambda z: abs(z.sigma_exact - s))
-            delta = s - best.sigma_exact
-            matched = abs(delta) <= match_window
-        else:
-            best, delta, matched = None, math.nan, False
+        best = min(loci, key=lambda z: abs(z.sigma_exact - s), default=None)
+        matched = best is not None and abs(s - best.sigma_exact) <= match_window
         out.append({
-            "n": best.n if (best and matched) else None,
+            "n": best.n if matched else None,
             "sigma_drop": s,
-            "sigma_analytic": best.sigma_exact if (best and matched) else math.nan,
-            "delta": delta if matched else math.nan,
+            "sigma_analytic": best.sigma_exact if matched else math.nan,
+            "delta": s - best.sigma_exact if matched else math.nan,
             "matched": matched,
         })
     return out

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rotorkick.cli as cli
+import rotorkick.sweep
 from rotorkick.cli import main, parse_config
 from rotorkick.sweep import PointRecord, SweepResult
 from rotorkick.validate import CheckResult
@@ -199,6 +200,22 @@ class TestSweepCommand:
         assert len(doc["records"]) == 64 * 64
         assert len(doc["minima"]) >= 2
         assert "minima_line_fit" not in doc
+
+    @pytest.mark.parametrize("grid_args, rc_want", [
+        (["--P", "1.5", "--sigma-min", "2.0", "--sigma-max", "4.0", "--sigma-step", "0.05"], 0),
+        (["--P-min", "1.5", "--P-max", "500", "--P-step", "498.5", "--sigma-min", "0.001",
+          "--sigma-max", "0.02", "--sigma-step", "0.001", "--leak-tol", "1e-14"], 2),
+    ])
+    def test_builds_no_point_records(self, grid_args, rc_want, tmp_path, monkeypatch):
+        # from the eigensolve to the files, figures and summary on columns alone,
+        # failed points and failures.json included
+        def no_records(*args):
+            raise AssertionError("the sweep built PointRecords")
+        monkeypatch.setattr(rotorkick.sweep, "_point_records", no_records)
+        rc = main(["sweep", *grid_args, "--formats", "csv,json,svg", "--out", str(tmp_path)])
+        assert rc == rc_want
+        assert (tmp_path / "records.json").exists()
+        assert (tmp_path / "failures.json").exists() == (rc_want == 2)
 
 
 class TestAnalyticCommand:

@@ -193,6 +193,9 @@ GATE_CASES = {
     "json_only": (lambda: run_sweep(SweepGrid.from_ranges(1.5, 2.0, 4.0, 0.05)), ("json",)),
     "one_point": (lambda: run_sweep(SweepGrid(p_values=(1.5,), sigma_values=(1.0,))),
                   ("csv", "json")),
+    "mixed_rungs": (lambda: run_sweep(SweepGrid(
+        p_values=(1.5, 500.0), sigma_values=(0.001, 0.002, 0.5, 1.0, 3.0, 6.0), leak_tol=1e-14)),
+        ("csv", "json")),
     "no_records": (lambda: _hand_built([]), ("csv", "json")),
     "special_values": (lambda: _hand_built([PointRecord(
         p=1.0, sigma=5e-324, j0=3, j_max=0, energy=math.nan, orientation=math.inf,
@@ -230,6 +233,12 @@ class TestEqualityGate:
         assert res["all_failed"].failures() == res["all_failed"].records
         assert all(r.populations.size == 0 for r in res["all_failed"].records)
         assert len(res["one_point"].records) == 1
+
+    def test_mixed_case_spans_rungs_and_a_failed_row(self):
+        res = _gate_result("mixed_rungs")
+        assert len({r.j_max for r in res.records if not r.failed}) >= 2
+        assert [r.failed for r in res.records[6:8]] == [True, True]
+        assert not any(r.failed for r in res.records[8:])
 
 
 def _arr(draw, size):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rotorkick.propagate
+import rotorkick.sweep
 from rotorkick import (
     ConvergenceError,
     MatrixKind,
@@ -79,6 +80,22 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="^sigma_step must be > 0"):
             SweepGrid.from_ranges(1.5, 0.5, 2.0, step)
 
+    @pytest.mark.parametrize("p", [np.array([1.0, 2.0]), range(1, 3), (1.0, 2.0), [1.0, 2.0],
+                                   np.arange(1, 3), (np.float64(1.0), 2.0)])
+    def test_from_ranges_takes_any_1d_p(self, p):
+        g = SweepGrid.from_ranges(p, 0.5, 2.0, 0.5)
+        assert g.p_values == (1.0, 2.0)
+        assert len(g.sigma_values) == 4
+
+    @pytest.mark.parametrize("p", [1.5, np.float64(1.5), np.array(1.5)])
+    def test_from_ranges_takes_a_scalar_p(self, p):
+        g = SweepGrid.from_ranges(p, 0.5, 2.0, 0.5)
+        assert g.p_values == (1.5,) and type(g.p_values[0]) is float
+
+    def test_from_ranges_rejects_2d_p(self):
+        with pytest.raises(ValueError, match="1-D"):
+            SweepGrid.from_ranges(np.ones((2, 2)), 0.5, 2.0, 0.5)
+
 
 class TestDetectDrops:
     def test_synthetic_single_drop(self):
@@ -146,6 +163,158 @@ class TestRunSweepPhysics:
                   if e[i] < e[i - 1] and e[i] < e[i + 1]]
         for z in zero_loci(1, 1.5, 3):
             assert min(abs(s - z.sigma_exact) for s in minima) < 0.25
+
+
+class TestRecordIndex:
+    @pytest.fixture(scope="class")
+    def small(self):
+        return run_sweep(SweepGrid(p_values=(1.0, 2.0), sigma_values=(1.0, 2.0, 3.0)))
+
+    def test_in_bounds(self, small):
+        for ip, p in enumerate(small.grid.p_values):
+            for isig, s in enumerate(small.grid.sigma_values):
+                rec = small.record(ip, isig)
+                assert rec is small.records[ip * 3 + isig]
+                assert (rec.p, rec.sigma) == (p, s)
+
+    def test_hand_built_keeps_its_records(self, small):
+        recs = list(small.records)
+        built = SweepResult(grid=small.grid, records=recs)
+        assert built.records is recs and built.record(1, 2) is recs[5]
+        assert _same_bits(built.table, small.table)
+
+    @pytest.mark.parametrize("ip, isig", [(0, 3), (-1, 0), (2, 0), (0, -1), (-1, -1)])
+    def test_out_of_bounds_raises(self, small, ip, isig):
+        with pytest.raises(IndexError, match="outside the 2 x 3 grid"):
+            small.record(ip, isig)
+
+
+# The detection loops as they stood before detection moved onto whole
+# arrays, kept verbatim as the reference that detect_drops,
+# detect_surface_minima and run_sweep's drops must match exactly.
+def reference_detect_drops(energies, rel_threshold=0.10):
+    e = np.asarray(energies, dtype=float)
+    if e.size < 5:
+        raise ValueError("drop detection needs at least 5 points")
+    out = []
+    for i in range(1, e.size - 1):
+        if not (e[i] < e[i - 1] and e[i] < e[i + 1]):
+            continue
+        left = i - 1
+        while left > 0 and e[left - 1] > e[left]:
+            left -= 1
+        right = i + 1
+        while right < e.size - 1 and e[right + 1] > e[right]:
+            right += 1
+        shoulder = min(e[left], e[right])
+        if shoulder > 0 and (shoulder - e[i]) / shoulder >= rel_threshold:
+            out.append(i)
+    return out
+
+
+def reference_detect_surface_minima(result, ceiling=None):
+    e = result.energy_surface()
+    if e.shape[0] < 5 or e.shape[1] < 5:
+        raise ValueError("surface minima detection needs a grid of at least 5x5")
+    if ceiling is None:
+        ceiling = float(np.percentile(e, 1.0))
+    out = []
+    for ip in range(1, e.shape[0] - 1):
+        for isig in range(1, e.shape[1] - 1):
+            v = e[ip, isig]
+            if v > ceiling:
+                continue
+            patch = e[ip - 1:ip + 2, isig - 1:isig + 2].copy()
+            patch[1, 1] = math.inf
+            if v < patch.min():
+                out.append((result.grid.p_values[ip], result.grid.sigma_values[isig], float(v)))
+    return out
+
+
+def reference_drop_loci(result, rel_threshold=0.10):
+    """run_sweep's drops as its per-row loop found them: rows with a failed
+    point are skipped."""
+    grid, n_sig = result.grid, len(result.grid.sigma_values)
+    out = []
+    for ip, p in enumerate(grid.p_values):
+        series = result.records[ip * n_sig:(ip + 1) * n_sig]
+        if any(r.failed for r in series):
+            continue
+        energies = np.array([r.energy for r in series])
+        for isig in reference_detect_drops(energies, rel_threshold):
+            out.append((p, grid.sigma_values[isig], energies[isig]))
+    return out
+
+
+def _surface_result(e):
+    """A hand-built result with the energy surface e on a unit grid."""
+    grid = SweepGrid(p_values=tuple(1.0 + np.arange(e.shape[0])),
+                     sigma_values=tuple(1.0 + np.arange(e.shape[1])))
+    return SweepResult(grid=grid, records=[
+        PointRecord(p=p, sigma=s, j0=0, j_max=0, energy=v, orientation=0.0, alignment=0.0,
+                    populations=np.ones(1), coeff_abs=np.ones(1))
+        for (p, s), v in zip([(p, s) for p in grid.p_values for s in grid.sigma_values],
+                             e.ravel().tolist())])
+
+
+# Few distinct values, so that ties and plateaus are common, and any float.
+_levels = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats())
+
+
+class TestDetectionGate:
+    """Detection on the arrays against the reference loops, exactly."""
+
+    def test_fig2(self):
+        res = run_sweep(SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005))
+        row = res.energy_surface()[0]
+        assert detect_drops(row) == reference_detect_drops(row)
+        assert len(res.drop_loci) == 3
+        assert res.drop_loci == reference_drop_loci(res)
+
+    def test_surface_39(self):
+        axis = tuple(np.round(0.5 + 0.25 * np.arange(39), 10))
+        res = run_sweep(SweepGrid(p_values=axis, sigma_values=axis, j0=0))
+        assert res.drop_loci and res.drop_loci == reference_drop_loci(res)
+        assert len(res.minima_2d) >= 2
+        assert res.minima_2d == reference_detect_surface_minima(res)
+        for ceiling in (None, 0.05, math.inf, math.nan):
+            assert (detect_surface_minima(res, ceiling)
+                    == reference_detect_surface_minima(res, ceiling))
+
+    def test_rows_with_a_failed_point_are_skipped(self, monkeypatch):
+        # every row holds the same drop; a failed point at the end of the
+        # second row drops that row's, as the per-row loop did
+        def engine(p, sigma, j0, *args):
+            table = np.zeros((p.size, 6))
+            table[:, 0], table[:, 1], table[:, 3] = p, sigma, np.tile([1.0, 0.9, 0.2, 0.9, 1.0], 3)
+            table[9, 3:] = math.nan
+            return table, np.where(np.isnan(table[:, 3]), -1, 0), {9: "did not converge"}
+        monkeypatch.setattr(rotorkick.sweep, "_evaluate", engine)
+        res = run_sweep(SweepGrid(p_values=(1.0, 2.0, 3.0), sigma_values=(1.0, 2.0, 3.0, 4.0, 5.0)))
+        assert res.drop_loci == reference_drop_loci(res) == [(1.0, 3.0, 0.2), (3.0, 3.0, 0.2)]
+
+    @given(st.lists(_levels, min_size=5, max_size=40), st.sampled_from([0.0, 0.1, 0.5]))
+    def test_random_rows(self, row, threshold):
+        with np.errstate(over="ignore"):
+            want = reference_detect_drops(row, threshold)
+        assert detect_drops(row, threshold) == want
+
+    @given(st.integers(5, 12).flatmap(lambda n: st.lists(
+        st.lists(_levels, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_random_row_stacks(self, rows):
+        # the one pass over all rows that run_sweep makes, row by row
+        with np.errstate(over="ignore"):        # the reference's numpy scalars at +-1e308
+            want = [(r, i) for r, row in enumerate(rows) for i in reference_detect_drops(row)]
+        assert rotorkick.sweep._drops(np.array(rows), 0.10) == want
+
+    @given(st.integers(5, 8).flatmap(lambda n: st.lists(
+        st.lists(_levels, min_size=n, max_size=n), min_size=5, max_size=8)),
+        st.sampled_from([None, 1.0, math.inf]))
+    def test_random_surfaces(self, rows, ceiling):
+        res = _surface_result(np.array(rows))
+        with np.errstate(invalid="ignore"):     # the default ceiling of a surface with infinities
+            assert (detect_surface_minima(res, ceiling)
+                    == reference_detect_surface_minima(res, ceiling))
 
 
 # The scalar chain converge_basis -> propagate_spectral with its operator
@@ -351,6 +520,24 @@ class TestBatchedEngine:
         assert len(got.minima_2d) >= 2
         assert got.minima_2d == want.minima_2d
         assert got.minima_line_fit == want.minima_line_fit
+
+    def test_mixed_rungs_and_failed_row_match_scalar_chain(self):
+        # points converged on six basis sizes and two failed points inside a
+        # row: the zero padding across rungs and the failed rows of the table
+        grid = SweepGrid(p_values=(1.5, 500.0), sigma_values=(0.001, 0.002, 0.5, 1.0, 3.0, 6.0),
+                         leak_tol=1e-14)
+        got = run_sweep(grid)
+        want = [_scalar_record(p, s, 0, leak_tol=1e-14)
+                for p in grid.p_values for s in grid.sigma_values]
+        assert sorted({r.j_max for r in want if not r.failed}) == [8, 12, 24, 28, 44, 60]
+        assert [r.failed for r in want] == [False] * 6 + [True, True] + [False] * 4
+        for got_rec, want_rec in zip(got.records, want):
+            _assert_same_record(got_rec, want_rec)
+        assert got.failures() == got.records[6:8]
+        # the columns are those of a result built from the scalar chain's records
+        built = SweepResult(grid=grid, records=want)
+        assert _same_bits(got.table, built.table) and got.table.shape == (12, 6 + 2 * 61)
+        assert np.array_equal(got.j_max, built.j_max) and got.errors == built.errors
 
     def test_no_points(self):
         assert evaluate_points([], [], 0) == []
