@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -20,10 +22,48 @@ import numpy as np
 from .core import (_J_MAX_CAP, PulseSpec, RotorBasis, Wavepacket, _bands, _check_strength,
                    _hamiltonians, _sym, build_hamiltonian)
 
-# Most matrix entries stacked into one eigensolve.  With the eigenvectors and
-# their complex copy a stack takes about 40 bytes an entry, so this bounds a
-# stack at about 10 MiB whatever the number of points or the basis size.
+# Most matrix entries in flight at once: over all the stacks that one call of
+# _propagate_points has being solved together, one stack inline or one a worker.
+# With the eigenvectors and their complex copy a stack takes about 40 bytes an
+# entry, so this bounds the stacks in flight at about 10 MiB whatever the number
+# of points, the basis size or the number of cores.
 _STACK_ENTRIES = 1 << 18
+# Fewest matrix entries (about 2 ms of eigh) in a call that is split across the
+# workers; a smaller call gains less than handing its stacks to threads costs.
+# On a 2-core Xeon with OpenBLAS 0.3.31, split calls of 8192 entries took
+# 0.8-1.2x the inline time, of 16384 entries 0.75-0.95x and of 32768 entries 0.6x.
+_SPLIT_ENTRIES = 1 << 14
+# Largest matrices that are split.  Up to 25 x 25, LAPACK's divide-and-conquer
+# eigensolver (dstedc) solves the tridiagonal problem by QL/QR on one core; above
+# it calls level-3 BLAS, which spreads each solve over the cores itself, and
+# stacks split across threads only contend for them.  On the same host, split
+# stacks took 0.5x the inline time up to 25 x 25, and 0.85-1.06x from 29 x 29 on.
+_SPLIT_DIM = 25
+# One worker thread for each CPU this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None                # the workers, made when the first stack is split
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor():
+    """The pool of _WORKERS threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="rotorkick-eigh")
+        return _pool
 
 
 class Method(Enum):
@@ -62,14 +102,36 @@ def _check_j0(j0: int, j_max: int) -> None:
 
 
 def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
-    """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max: per
-    stack of at most _STACK_ENTRIES matrix entries, one eigh of the Hamiltonians,
-    then C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0)."""
+    """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max.
+
+    The points are cut into equal stacks.  A call of at least _SPLIT_ENTRIES
+    entries of matrices up to _SPLIT_DIM x _SPLIT_DIM is solved by the _WORKERS
+    threads together, one stack each at a time (LAPACK runs without the GIL);
+    any other call, or any call on a single CPU, solves its stacks inline.
+    Either way the stacks in flight hold at most _STACK_ENTRIES entries, and each
+    matrix is solved on its own by the same LAPACK call, so the result is bit for
+    bit the same however the points are cut.
+    """
     _check_j0(j0, j_max)
-    step = max(1, _STACK_ENTRIES // (j_max + 1) ** 2)
-    if p.size > step:
-        return np.concatenate([_propagate_points(p[s:s + step], sigma[s:s + step], j0, j_max)
-                               for s in range(0, p.size, step)])
+    size = (j_max + 1) ** 2
+    per = _STACK_ENTRIES // (_WORKERS * size)       # points a stack, _WORKERS stacks at once
+    split = (_WORKERS > 1 and per > 0 and j_max < _SPLIT_DIM
+             and p.size * size >= _SPLIT_ENTRIES)
+    if split:       # a multiple of _WORKERS stacks, so that each worker gets as many
+        n = min(p.size, _WORKERS * -(-p.size // (_WORKERS * per)))
+    else:
+        n = -(-p.size // max(1, _STACK_ENTRIES // size))
+    if n <= 1:
+        return _solve(p, sigma, j0, j_max)
+    cuts = [p.size * i // n for i in range(n + 1)]
+    parts = (_executor().map if split else map)(
+        lambda a, b: _solve(p[a:b], sigma[a:b], j0, j_max), cuts[:-1], cuts[1:])
+    return np.concatenate(list(parts))
+
+
+def _solve(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
+    """C(1) of one stack: one eigh of the Hamiltonians, then
+    C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0)."""
     evals, u = np.linalg.eigh(_hamiltonians(p, sigma, j_max))
     return np.matmul(u, (np.exp(-1j * evals) * u[:, j0, :])[:, :, None])[:, :, 0]
 
@@ -78,7 +140,7 @@ def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> 
 def _point(p: float, sigma: float, j0: int, j_max: int) -> np.ndarray:
     """Read-only C(1) of the one point (p, sigma) on the basis j_max.
 
-    The arithmetic of _propagate_points, entry for entry and so bit for bit, on
+    The arithmetic of _solve, entry for entry and so bit for bit, on
     one 2-D matrix instead of a stack of one: at these sizes the stack set-up
     costs as much as the solve.  The last call is kept, so propagate_spectral on
     the basis that converge_basis has just accepted solves nothing again; typed,

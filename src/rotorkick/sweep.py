@@ -1,9 +1,11 @@
 """(P, sigma) parameter sweeps with drop and surface-minima detection.
 
 Points are evaluated by the spectral kernel of converge_basis and
-propagate_spectral: per candidate basis size, one eigensolve of the stacked
+propagate_spectral: per candidate basis size, one stacked eigensolve of the
 Hamiltonians of all points not yet converged, then the observables from that
-size's cached operator bands.  No arithmetic crosses point boundaries.
+size's cached operator bands.  A large stack is cut into equal parts that
+threads solve on all the CPUs the process may use.  No arithmetic crosses point
+boundaries, so the results are bit for bit the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ def _check_values(name: str, values, positive: bool) -> np.ndarray:
     return arr
 
 
+def _check_j0_integer(j0) -> None:
+    """ValueError unless J0 is an integer >= 0 (a Python or numpy integer, not a bool)."""
+    if isinstance(j0, bool) or not isinstance(j0, (int, np.integer)) or j0 < 0:
+        raise ValueError(f"J0 must be an integer >= 0, got {j0!r}")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian (P, sigma) grid for one initial state.
@@ -52,6 +60,7 @@ class SweepGrid:
                 raise ValueError(f"{name} values must be a non-empty 1-D sequence")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} values must be strictly increasing")
+        _check_j0_integer(self.j0)
         if self.basis_mode not in ("auto", "fixed"):
             raise ValueError(f"unknown basis mode {self.basis_mode!r}")
 
@@ -151,6 +160,7 @@ def _point_records(table, j_max, errors) -> list[PointRecord]:
 
 def _evaluate(p, sigma, j0, basis_mode, j_max, leak_tol):
     """evaluate_points' work, as the (table, j_max, errors) that SweepResult holds."""
+    _check_j0_integer(j0)
     p_arr = _check_values("P", p, positive=False)
     s_arr = _check_values("sigma", sigma, positive=True)
     if p_arr.shape != s_arr.shape or p_arr.ndim != 1:
@@ -266,12 +276,15 @@ def detect_surface_minima(result: SweepResult,
                           ceiling: float | None = None) -> list[tuple[float, float, float]]:
     """Grid points that are strict minima over their 8-neighborhood and lie
     below an absolute kinetic-energy ceiling (default: 1st percentile of
-    the surface)."""
+    the surface's finite values; a surface with none has no minima)."""
     e = result.energy_surface()
     if e.shape[0] < 5 or e.shape[1] < 5:
         raise ValueError("surface minima detection needs a grid of at least 5x5")
-    if ceiling is None:
-        ceiling = float(np.percentile(e, 1.0))
+    if ceiling is None:     # over the finite cells, so that a failed point's NaN is left out
+        finite = e[np.isfinite(e)]
+        if not finite.size:
+            return []
+        ceiling = float(np.percentile(finite, 1.0))
     # the 3 x 3 patch of each interior cell not above the ceiling (NaN fails any comparison)
     ip, isig = np.nonzero(~(e[1:-1, 1:-1] > ceiling))
     patch = np.lib.stride_tricks.sliding_window_view(e, (3, 3))[ip, isig]

@@ -39,3 +39,18 @@ def test_cli_imports_neither_numba_nor_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_starts_no_worker_pool(tmp_path):
+    # the sweep's worker threads and their module come on the first split stack
+    src = str(Path(rotorkick.__file__).resolve().parent.parent)
+    code = textwrap.dedent(f"""
+        import sys, threading
+        sys.path.insert(0, {src!r})
+        import rotorkick
+        assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
+        print("concurrent.futures" in sys.modules, threading.active_count())
+    """)
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False 1"

@@ -1,5 +1,8 @@
 import math
+import os
 import pickle
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -95,6 +98,16 @@ class TestSweepGrid:
     def test_from_ranges_rejects_2d_p(self):
         with pytest.raises(ValueError, match="1-D"):
             SweepGrid.from_ranges(np.ones((2, 2)), 0.5, 2.0, 0.5)
+
+    @pytest.mark.parametrize("j0", [-1, 1.5, True, False, np.int64(-2), 2.0, "1", None])
+    def test_j0_must_be_an_integer_at_least_0(self, j0):
+        with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got "):
+            SweepGrid(p_values=(1.0,), sigma_values=(1.0, 2.0), j0=j0)
+
+    @pytest.mark.parametrize("j0", [0, 2, np.int64(1), np.int32(3)])
+    def test_j0_takes_python_and_numpy_integers(self, j0):
+        grid = SweepGrid(p_values=(1.0,), sigma_values=(1.0, 2.0), j0=j0)
+        assert run_sweep(grid).table[:, 2].tolist() == [int(j0)] * 2
 
 
 class TestDetectDrops:
@@ -312,9 +325,26 @@ class TestDetectionGate:
         st.sampled_from([None, 1.0, math.inf]))
     def test_random_surfaces(self, rows, ceiling):
         res = _surface_result(np.array(rows))
-        with np.errstate(invalid="ignore"):     # the default ceiling of a surface with infinities
+        e = np.array(rows, dtype=float)
+        if ceiling is None and not np.isfinite(e).any():
+            assert detect_surface_minima(res) == []
+            return
+        want = ceiling
+        if ceiling is None:         # the default: the 1st percentile of the finite cells
+            want = float(np.percentile(e[np.isfinite(e)], 1.0))
+        with np.errstate(invalid="ignore"):     # infinities in the percentile
             assert (detect_surface_minima(res, ceiling)
-                    == reference_detect_surface_minima(res, ceiling))
+                    == reference_detect_surface_minima(res, want))
+
+    def test_default_ceiling_leaves_out_failed_points(self):
+        rng = np.random.default_rng(7)
+        e = rng.uniform(1.0, 2.0, (7, 7))
+        e[3, 3] = 0.0
+        assert detect_surface_minima(_surface_result(e)) == [(4.0, 4.0, 0.0)]
+        e[0, 6] = math.nan
+        assert detect_surface_minima(_surface_result(e)) == [(4.0, 4.0, 0.0)]
+        assert len(detect_surface_minima(_surface_result(e), math.nan)) > 1
+        assert detect_surface_minima(_surface_result(np.full((5, 5), math.nan))) == []
 
 
 # The scalar chain converge_basis -> propagate_spectral with its operator
@@ -469,12 +499,28 @@ def _scalar_sweep(grid):
     return res
 
 
-@pytest.fixture(params=["default stack", "two-point stacks"])
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Split every stack of two or more points, of matrices up to the largest
+    that are split, across two worker threads on a pool of the test's own,
+    whatever the number of CPUs."""
+    monkeypatch.setattr(rotorkick.propagate, "_WORKERS", 2)
+    monkeypatch.setattr(rotorkick.propagate, "_SPLIT_ENTRIES", 1)
+    monkeypatch.setattr(rotorkick.propagate, "_pool", None)
+    yield
+    if rotorkick.propagate._pool is not None:
+        rotorkick.propagate._pool.shutdown()
+
+
+@pytest.fixture(params=["default stack", "two-point stacks", "split across workers"])
 def stack_entries(request, monkeypatch):
-    """Run the engine with its own stack size and with stacks of at most two
-    points, so that splitting a round into several eigensolves is covered."""
+    """Run the engine with its own stack size, with stacks of at most two
+    points, so that splitting a round into several eigensolves is covered, and
+    with the stacks solved by two worker threads."""
     if request.param == "two-point stacks":
         monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", 50)
+    elif request.param == "split across workers":
+        request.getfixturevalue("two_workers")
     return request.param
 
 
@@ -550,12 +596,110 @@ class TestBatchedEngine:
         with pytest.raises(ValueError):
             evaluate_points([1.5], [3.0], **kwargs)
 
+    @pytest.mark.parametrize("j0", [-1, 1.5, True, np.int64(-1)])
+    @pytest.mark.parametrize("basis_mode", ["auto", "fixed"])
+    def test_j0_must_be_an_integer_at_least_0(self, j0, basis_mode):
+        with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got "):
+            evaluate_points([1.0], [1.0], j0, basis_mode=basis_mode)
+
     @pytest.mark.parametrize("p, s", [([1.5, math.nan], [3.0, 3.0]), ([math.inf], [3.0]),
                                       ([-1.0], [3.0]), ([1.5], [0.0]), ([1.5], [math.inf]),
                                       ([1.5, 2.0], [3.0])])
     def test_bad_points(self, p, s):
         with pytest.raises(ValueError):
             evaluate_points(p, s, 0)
+
+
+class TestWorkerPool:
+    """Stacks split across worker threads give the bits of one stack."""
+
+    MIXED = SweepGrid(p_values=(1.5, 500.0), sigma_values=(0.001, 0.002, 0.5, 1.0, 3.0, 6.0),
+                      leak_tol=1e-14)
+
+    @pytest.mark.parametrize("entries", [rotorkick.propagate._STACK_ENTRIES, 200])
+    def test_split_equals_one_stack(self, two_workers, monkeypatch, entries):
+        # every rung of the mixed grid, failed points up to the cap included;
+        # 200 entries cut rungs 4 and 8 into several stacks a worker
+        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", entries)
+        calls = []
+
+        def spy(p, sigma, j0, j_max):
+            c = rotorkick.propagate._propagate_points(p, sigma, j0, j_max)
+            calls.append((p, sigma, j0, j_max, c))
+            return c
+        monkeypatch.setattr(rotorkick.sweep, "_propagate_points", spy)
+        run_sweep(self.MIXED)
+        assert rotorkick.propagate._pool is not None
+        assert [(c[0].size, c[3]) for c in calls[:2]] == [(12, 4), (12, 8)]
+        monkeypatch.setattr(rotorkick.propagate, "_WORKERS", 1)
+        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", 1 << 40)
+        for p, sigma, j0, j_max, got in calls:
+            assert _same_bits(got, rotorkick.propagate._propagate_points(p, sigma, j0, j_max))
+
+    @pytest.mark.parametrize("entries", [rotorkick.propagate._STACK_ENTRIES, 200])
+    def test_stacks_in_flight_stay_within_the_budget(self, two_workers, monkeypatch, entries):
+        # a worker's stack holds at most half the entries, two being in flight;
+        # an inline stack at most all of them, or one matrix
+        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", entries)
+        solve, stacks = rotorkick.propagate._solve, []
+
+        def spy(p, sigma, j0, j_max):
+            stacks.append((threading.current_thread() is threading.main_thread(),
+                           p.size, (j_max + 1) ** 2))
+            return solve(p, sigma, j0, j_max)
+        monkeypatch.setattr(rotorkick.propagate, "_solve", spy)
+        run_sweep(self.MIXED)
+        assert any(not inline for inline, _, _ in stacks)
+        for inline, n, size in stacks:
+            assert n * size <= (entries if inline else entries // 2) or (inline and n == 1)
+
+    def test_one_worker_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(rotorkick.propagate, "_WORKERS", 1)
+        monkeypatch.setattr(rotorkick.propagate, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(rotorkick.propagate, "_pool", None)
+        run_sweep(SweepGrid.from_ranges((1.5, 2.0), 0.5, 3.0, 0.5))
+        assert rotorkick.propagate._pool is None
+
+    def test_concurrent_callers_share_one_pool(self, two_workers, monkeypatch):
+        # a pool that is slow to make leaves every caller time to make its own
+        import concurrent.futures
+
+        class SlowPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                threading.Event().wait(0.01)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
+        pools, barrier = [], threading.Barrier(8)
+
+        def call():
+            barrier.wait()
+            pools.append(rotorkick.propagate._executor())
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(pools) == 8 and all(pool is pools[0] for pool in pools)
+
+    def test_forked_child_sweeps(self, two_workers):
+        # the child has none of the parent's worker threads; a pool it kept
+        # would take the child's stacks and never solve them
+        axis = tuple(np.round(4.1 + 0.05 * np.arange(64), 10))
+        grid = SweepGrid(p_values=axis, sigma_values=tuple(np.round(1.6 + np.array(axis), 10)))
+        want = run_sweep(grid).table
+        assert rotorkick.propagate._pool is not None
+        pid = os.fork()
+        if pid == 0:    # the child: exit 0 on the same table, 1 on another, killed by the alarm
+            code = 2
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(10)
+                code = 0 if _same_bits(run_sweep(grid).table, want) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _seeded_points():
