@@ -7,20 +7,20 @@ Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .analytic import existence_threshold, zero_loci
-from .core import PulseSpec, RotorBasis
+from .core import PulseSpec, RotorBasis, build_cos2_matrix, build_cos_matrix
+from .observables import compute_all
 from .propagate import ConvergenceError, converge_basis, propagate_ode, propagate_spectral
-from .serialize import write_records
+from .serialize import timestamp, write_csv, write_json, write_records
 from .svgplot import PlotKind, emit_plot
-from .sweep import SweepGrid, compare_drops_to_analytic, run_sweep
+from .sweep import SweepGrid, axis, compare_drops_to_analytic, run_sweep
 from .validate import run_acceptance
 
 EXIT_OK = 0
@@ -44,12 +44,8 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def echo_lines(self) -> list[str]:
-        lines = [f"command={self.command}"]
-        for key in sorted(self.options):
-            val = self.options[key]
-            if val is not None:
-                lines.append(f"{key}={val}")
-        return lines
+        return [f"command={self.command}"] + [
+            f"{key}={val}" for key, val in sorted(self.options.items()) if val is not None]
 
 
 def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -135,20 +131,14 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
         # apply file values only where the flag was left at its default
         explicit = _explicit_dests(argv)
-        for key, val in file_vals.items():
-            if key in explicit:
-                continue
-            options[key] = _coerce(val, actions[key])
+        options.update({key: _coerce(val, actions[key])
+                        for key, val in file_vals.items() if key not in explicit})
     _validate_options(ns.command, options)
     return RunConfig(command=ns.command, options=options)
 
 
 def _explicit_dests(argv: list[str]) -> set[str]:
-    out = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            out.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return out
+    return {tok[2:].split("=", 1)[0].replace("-", "_") for tok in argv if tok.startswith("--")}
 
 
 def _coerce(text: str, action: argparse.Action):
@@ -187,8 +177,6 @@ def _validate_options(command: str, opt: dict) -> None:
         require("sigma_min", "sigma_max", "sigma_step")
         for key in ("sigma_min", "sigma_max", "sigma_step", "P_step"):
             positive(key)
-        if opt["sigma_max"] < opt["sigma_min"]:
-            raise UsageError("--sigma-max must be >= --sigma-min")
         two_d = any(opt.get(k) is not None for k in ("P_min", "P_max", "P_step"))
         if two_d and not all(opt.get(k) is not None for k in ("P_min", "P_max", "P_step")):
             raise UsageError("2-D sweeps need all of --P-min, --P-max, --P-step")
@@ -224,8 +212,6 @@ def _cmd_propagate(cfg: RunConfig) -> int:
     else:
         report = propagate_spectral(pulse, opt["j0"], basis)
     psi = report.final
-    from .core import build_cos2_matrix, build_cos_matrix
-    from .observables import compute_all
     obs = compute_all(psi, build_cos_matrix(basis), build_cos2_matrix(basis))
     doc = {
         "P": pulse.strength, "sigma": pulse.sigma, "eta": pulse.eta,
@@ -239,15 +225,10 @@ def _cmd_propagate(cfg: RunConfig) -> int:
     }
     fmts = opt["formats"].split(",")
     if "json" in fmts:
-        with open(outdir / "propagate.json", "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        write_json(outdir / "propagate.json", doc)
     if "csv" in fmts:
-        with open(outdir / "propagate.csv", "w") as fh:
-            fh.write("J,re,im,population\n")
-            for j in range(basis.dim):
-                fh.write(f"{j},{psi.coefficients[j].real:.17g},"
-                         f"{psi.coefficients[j].imag:.17g},{obs.populations[j]:.17g}\n")
+        write_csv(outdir / "propagate.csv", ["J", "re", "im", "population"], np.column_stack((
+            basis.j_values(), psi.coefficients.real, psi.coefficients.imag, obs.populations)))
     if "svg" in fmts:
         emit_plot(None, PlotKind.POLAR_DENSITY, outdir / "polar_density.svg", psi=psi)
     print(f"E={obs.kinetic_energy:.6g}  <cos>={obs.orientation:.6g}  "
@@ -258,27 +239,22 @@ def _cmd_propagate(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     opt = cfg.options
     outdir = Path(opt["out"])
-    _echo_config(cfg, outdir)
-    if opt.get("P_min") is not None:
-        n = int(round((opt["P_max"] - opt["P_min"]) / opt["P_step"])) + 1
-        p = tuple(np.round(opt["P_min"] + np.arange(n) * opt["P_step"], 12))
-    else:
-        p = opt["P"]
+    p = (opt["P"] if opt.get("P_min") is None
+         else axis("P", opt["P_min"], opt["P_max"], opt["P_step"]))
     grid = SweepGrid.from_ranges(p, opt["sigma_min"], opt["sigma_max"], opt["sigma_step"],
                                  j0=opt["j0"], basis_mode=opt["basis"],
                                  j_max=opt["j_max"], leak_tol=opt["leak_tol"])
+    timestamp()     # a malformed SOURCE_DATE_EPOCH fails here, before any file is written
+    _echo_config(cfg, outdir)
     result = run_sweep(grid, drop_rel_threshold=opt["drop_threshold"])
     fmts = tuple(opt["formats"].split(","))
     write_records(result, outdir, formats=fmts, metadata=dict(cfg.options))
     if "svg" in fmts:
-        if len(grid.p_values) >= 2:
-            emit_plot(result, PlotKind.SURFACE_HEATMAP, outdir / "surface_heatmap.svg")
-        else:
-            for kind, name in ((PlotKind.ENERGY_VS_SIGMA, "energy_vs_sigma"),
-                               (PlotKind.COEFFS_VS_SIGMA, "coeffs_vs_sigma"),
-                               (PlotKind.ORIENTATION, "orientation"),
-                               (PlotKind.ALIGNMENT, "alignment")):
-                emit_plot(result, kind, outdir / f"{name}.svg")
+        kinds = ((PlotKind.SURFACE_HEATMAP,) if len(grid.p_values) >= 2 else
+                 (PlotKind.ENERGY_VS_SIGMA, PlotKind.COEFFS_VS_SIGMA, PlotKind.ORIENTATION,
+                  PlotKind.ALIGNMENT))
+        for kind in kinds:
+            emit_plot(result, kind, outdir / f"{kind.value}.svg")
     n_fail = len(result.errors)
     print(f"{len(result.table)} points "
           f"({n_fail} failed), {len(result.drop_loci)} drops, "
@@ -311,17 +287,12 @@ def _cmd_analytic(cfg: RunConfig) -> int:
     if not loci:
         print("  (no real roots in range)")
     if "json" in opt["formats"].split(","):
-        with open(outdir / "zero_loci.json", "w") as fh:
-            json.dump({"j0": opt["j0"], "P": opt["P"], "existence_threshold": thr,
-                       "loci": [{"n": z.n, "sigma_exact": z.sigma_exact,
-                                 "sigma_taylor": z.sigma_taylor} for z in loci]},
-                      fh, indent=1)
-            fh.write("\n")
+        write_json(outdir / "zero_loci.json", {"j0": opt["j0"], "P": opt["P"],
+                                               "existence_threshold": thr,
+                                               "loci": [asdict(z) for z in loci]})
     if "csv" in opt["formats"].split(","):
-        with open(outdir / "zero_loci.csv", "w") as fh:
-            fh.write("n,sigma_exact,sigma_taylor\n")
-            for z in loci:
-                fh.write(f"{z.n},{z.sigma_exact:.17g},{z.sigma_taylor:.17g}\n")
+        write_csv(outdir / "zero_loci.csv", ["n", "sigma_exact", "sigma_taylor"],
+                  [astuple(z) for z in loci])
     return EXIT_OK
 
 
@@ -334,10 +305,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         print(c.line())
     n_fail = sum(not c.passed for c in checks)
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    with open(outdir / "validate.json", "w") as fh:
-        json.dump([{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in checks], fh, indent=1)
-        fh.write("\n")
+    write_json(outdir / "validate.json", [asdict(c) for c in checks])
     return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
 
 

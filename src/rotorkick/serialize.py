@@ -21,11 +21,42 @@ def _f(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def _timestamp() -> str:
-    """ISO timestamp; honors SOURCE_DATE_EPOCH for byte-reproducible output."""
+def timestamp() -> str:
+    """ISO timestamp; honors SOURCE_DATE_EPOCH, a whole number of seconds,
+    for byte-reproducible output."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = time.gmtime(int(epoch) if epoch else None)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
+
+
+def _csv_blocks(table: np.ndarray):
+    """The rows of table as CSV text: BLOCK_ROWS rows at a time, rendered by one
+    "%" call and yielded as one string of CRLF-joined lines."""
+    row_fmt = ",".join([FLOAT_FMT] * table.shape[1])
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = table[start:start + BLOCK_ROWS]
+        yield "\r\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist())
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write header and the numbers rows as CSV: FLOAT_FMT cells, CRLF lines.  Returns path."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for text in _csv_blocks(table):
+            fh.write(text + "\r\n")
+    return Path(path)
+
+
+def write_json(path: str | Path, doc) -> Path:
+    """Write doc as JSON with a one-space indent and a final newline.  Returns path."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return Path(path)
 
 
 def record_columns(result: SweepResult) -> list[str]:
@@ -37,7 +68,7 @@ def _json_head_tail(result: SweepResult, cols: list[str], metadata: dict | None
                     ) -> tuple[str, str]:
     """records.json as it would be with an empty records list, split around that list."""
     from . import __version__
-    meta = {"config": metadata or {}, "code_version": __version__, "timestamp": _timestamp()}
+    meta = {"config": metadata or {}, "code_version": __version__, "timestamp": timestamp()}
     doc = {"metadata": meta, "columns": cols, "records": []}
     for key, loci in (("drops", result.drop_loci), ("minima", result.minima_2d)):
         if loci:
@@ -70,6 +101,8 @@ def write_records(result: SweepResult, outdir: str | Path,
     cols, table = record_columns(result), result.table
     csv_path = outdir / "records.csv" if "csv" in formats else None
     json_path = outdir / "records.json" if "json" in formats else None
+    if json_path:   # before any file is opened: the timestamp may reject SOURCE_DATE_EPOCH
+        head, tail = _json_head_tail(result, cols, metadata)
     written = []
 
     with contextlib.ExitStack() as stack:
@@ -79,20 +112,16 @@ def write_records(result: SweepResult, outdir: str | Path,
             csv_fh.write(",".join(cols) + "\r\n")
         if json_path:
             json_fh = stack.enter_context(open(json_path, "w"))
-            head, tail = _json_head_tail(result, cols, metadata)
             json_fh.write(head)
-        # One "%" call renders a block of rows as CSV lines.  No cell holds a
-        # comma, quote, backslash or newline, so these are the lines csv.writer
-        # writes, and two replacements give json.dump's indent=1 layout of the
-        # rows as lists of strings.
-        row_fmt = ",".join([FLOAT_FMT] * len(cols))
-        for start in range(0, len(table), BLOCK_ROWS):
-            block = table[start:start + BLOCK_ROWS]
-            text = "\r\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist())
+        # Each block of CSV lines is rendered once for both files.  No cell
+        # holds a comma, quote, backslash or newline, so these are the lines
+        # csv.writer writes, and two replacements give json.dump's indent=1
+        # layout of the rows as lists of strings.
+        for i, text in enumerate(_csv_blocks(table)):
             if csv_fh:
                 csv_fh.write(text + "\r\n")
             if json_fh:
-                json_fh.write(("," if start else "") + '\n  [\n   "' + text.replace(
+                json_fh.write(("," if i else "") + '\n  [\n   "' + text.replace(
                     ",", '",\n   "').replace("\r\n", '"\n  ],\n  [\n   "') + '"\n  ]')
         if json_fh:
             json_fh.write(("\n " if len(table) else "") + tail)
@@ -101,25 +130,18 @@ def write_records(result: SweepResult, outdir: str | Path,
         written.append(csv_path)
         for name, loci in (("drops.csv", result.drop_loci), ("minima.csv", result.minima_2d)):
             if loci:
-                rows = [f"{_f(p)},{_f(s)},{_f(e)}\r\n" for p, s, e in loci]
-                (outdir / name).write_text("".join(["P,sigma,energy\r\n"] + rows), newline="")
-                written.append(outdir / name)
+                written.append(write_csv(outdir / name, ["P", "sigma", "energy"], loci))
     if json_path:
         written.append(json_path)
-
     if result.errors:
-        path = outdir / "failures.json"
-        points = result.table[list(result.errors), :2].tolist()
-        with open(path, "w") as fh:
-            json.dump([{"P": p, "sigma": s, "error": e}
-                       for (p, s), e in zip(points, result.errors.values())], fh, indent=1)
-            fh.write("\n")
-        written.append(path)
+        points = zip(result.table[list(result.errors), :2].tolist(), result.errors.values())
+        written.append(write_json(outdir / "failures.json",
+                                  [{"P": p, "sigma": s, "error": e} for (p, s), e in points]))
     return written
 
 
 def read_records_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read back a records.csv; returns (columns, float matrix)."""
+    """Read back a records.csv or any write_csv file; returns (columns, float matrix)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     data = np.array([[float(v) for v in row] for row in rows[1:]])

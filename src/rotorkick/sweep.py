@@ -31,6 +31,21 @@ def _check_values(name: str, values, positive: bool) -> np.ndarray:
     return arr
 
 
+def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """The grid axis lo, lo + step, ... to the last point <= hi, each value
+    rounded to 12 decimals: the double nearest its decimal grid value.  A
+    ValueError names the field ({name}_min, {name}_max or {name}_step)."""
+    for field, value in (("min", lo), ("max", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}_{field} must be finite, got {value}")
+    if not step > 0:
+        raise ValueError(f"{name}_step must be > 0, got {step}")
+    if not hi >= lo:
+        raise ValueError(f"{name}_max must be >= {name}_min, got {hi} < {lo}")
+    values = [round(lo + i * step, 12) for i in range(round((hi - lo) / step) + 1)]
+    return tuple(values if values[-1] <= round(hi, 12) else values[:-1])  # the count may round up
+
+
 def _check_j0_integer(j0) -> None:
     """ValueError unless J0 is an integer >= 0 (a Python or numpy integer, not a bool)."""
     if isinstance(j0, bool) or not isinstance(j0, (int, np.integer)) or j0 < 0:
@@ -67,16 +82,9 @@ class SweepGrid:
     @classmethod
     def from_ranges(cls, p, sigma_min, sigma_max, sigma_step, **kw) -> "SweepGrid":
         """A grid over the P value(s) p, a number or any 1-D sequence or array,
-        and sigma_min, sigma_min + sigma_step, ... up to sigma_max."""
-        for name, value in (("sigma_min", sigma_min), ("sigma_max", sigma_max),
-                            ("sigma_step", sigma_step)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not sigma_step > 0:
-            raise ValueError(f"sigma_step must be > 0, got {sigma_step}")
-        n = int(round((sigma_max - sigma_min) / sigma_step)) + 1
-        sigmas = tuple(sigma_min + i * sigma_step for i in range(n))
-        return cls(p_values=tuple(p) if np.ndim(p) else (float(p),), sigma_values=sigmas, **kw)
+        and axis("sigma", ...): sigma_min in steps of sigma_step to the last point <= sigma_max."""
+        return cls(p_values=tuple(p) if np.ndim(p) else (float(p),),
+                   sigma_values=axis("sigma", sigma_min, sigma_max, sigma_step), **kw)
 
 
 @dataclass

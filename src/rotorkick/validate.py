@@ -15,7 +15,7 @@ import numpy as np
 from .analytic import coefficient_c1_of_0, zero_loci
 from .core import PulseSpec, RotorBasis, build_cos2_matrix
 from .propagate import converge_basis, delta_kick, propagate_ode, propagate_spectral
-from .sweep import (SweepGrid, detect_surface_minima, evaluate_point, evaluate_points,
+from .sweep import (SweepGrid, axis, detect_surface_minima, evaluate_point, evaluate_points,
                     fit_minima_line, run_sweep)
 
 # Reference drop positions and analytic loci for P = 1.5.
@@ -30,6 +30,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)     # a check's comparisons may give a numpy bool
 
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
@@ -143,7 +146,7 @@ def check_method_cross_validation(seed: int = 12345) -> CheckResult:
 def check_two_level_fidelity() -> CheckResult:
     # amplitude agreement for weak pulses
     worst = 0.0
-    sigmas = np.arange(2.0, 10.0 + 1e-9, 0.05).tolist()
+    sigmas = axis("sigma", 2.0, 10.0, 0.05)
     for p in (0.5, 1.5):
         for sigma, rec in zip(sigmas, evaluate_points([p] * len(sigmas), sigmas, 0)):
             c1_two = abs(coefficient_c1_of_0(PulseSpec(strength=p, sigma=sigma)))
@@ -177,10 +180,8 @@ def check_hybridization_symmetry() -> CheckResult:
 
 def check_surface_structure() -> CheckResult:
     step = 0.05
-    grid = SweepGrid(
-        p_values=tuple(np.round(np.arange(0.5, 10.0 + 1e-9, step), 10)),
-        sigma_values=tuple(np.round(np.arange(0.5, 10.0 + 1e-9, step), 10)),
-        j0=0, basis_mode="auto")
+    grid = SweepGrid(p_values=axis("P", 0.5, 10.0, step),
+                     sigma_values=axis("sigma", 0.5, 10.0, step), j0=0, basis_mode="auto")
     res = run_sweep(grid)
     minima = detect_surface_minima(res)
     if not minima:

@@ -7,6 +7,7 @@ import pytest
 import rotorkick.cli as cli
 import rotorkick.sweep
 from rotorkick.cli import main, parse_config
+from rotorkick.serialize import read_records_csv
 from rotorkick.sweep import PointRecord, SweepResult
 from rotorkick.validate import CheckResult
 
@@ -86,6 +87,28 @@ class TestExitCodes:
     def test_non_finite_is_1(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_args, message", [
+        (["--P-min", "2", "--P-max", "1", "--P-step", "0.5",
+          "--sigma-min", "1", "--sigma-max", "2"], "P_max must be >= P_min, got 1.0 < 2.0"),
+        (["--P", "1.5", "--sigma-min", "2", "--sigma-max", "1"],
+         "sigma_max must be >= sigma_min, got 1.0 < 2.0"),
+    ])
+    def test_max_below_min_is_1(self, grid_args, message, tmp_path, capsys):
+        argv = ["sweep", *grid_args, "--sigma-step", "0.5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e3", "1.5"])
+    def test_malformed_source_date_epoch_is_1(self, epoch, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        rc = main(["sweep", "--P", "1.5", "--sigma-min", "1", "--sigma-max", "2",
+                   "--sigma-step", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_convergence_failure_is_2(self, tmp_path, capsys):
         rc = main(["propagate", "--P", "500", "--sigma", "0.001",
@@ -180,6 +203,13 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "1 drops" in out
         assert "n=1" in out  # analytic comparison printed
+
+    def test_sigma_axis_stops_at_max(self, tmp_path):
+        # 20.8 steps of 0.05 fit: the last row is sigma = 2.0, not 2.05 > 2.04
+        assert main(["sweep", "--P", "1.5", "--sigma-min", "1.0", "--sigma-max", "2.04",
+                     "--sigma-step", "0.05", "--formats", "csv", "--out", str(tmp_path)]) == 0
+        _, data = read_records_csv(tmp_path / "records.csv")
+        assert data[:, 1].tolist() == [round(1.0 + 0.05 * i, 12) for i in range(21)]
 
     def test_two_dimensional(self, tmp_path):
         rc = main(["sweep", "--P-min", "0.5", "--P-max", "2.5", "--P-step", "0.5",

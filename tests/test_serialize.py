@@ -1,25 +1,41 @@
 import csv
 import functools
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotorkick import SweepGrid, run_sweep
+import rotorkick.cli as cli
+import rotorkick.serialize
+from rotorkick import (
+    PulseSpec,
+    SweepGrid,
+    build_cos2_matrix,
+    build_cos_matrix,
+    compute_all,
+    converge_basis,
+    propagate_spectral,
+    run_sweep,
+    zero_loci,
+)
 from rotorkick.serialize import (
     _f,
-    _timestamp,
     read_records_csv,
     read_records_json,
     record_columns,
+    timestamp,
+    write_csv,
     write_records,
 )
-from rotorkick.sweep import PointRecord, SweepResult
+from rotorkick.sweep import PointRecord, SweepResult, axis
+from rotorkick.validate import CheckResult
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +100,110 @@ class TestRoundTrip:
         assert len(lines) == 1 + len(res.drop_loci)
 
 
+def _propagate_files():
+    pulse = PulseSpec(strength=1.5, sigma=3.044)
+    basis = converge_basis(pulse, 0)
+    psi = propagate_spectral(pulse, 0, basis).final
+    obs = compute_all(psi, build_cos_matrix(basis), build_cos2_matrix(basis))
+    c = psi.coefficients
+    return {"propagate.csv": (["J", "re", "im", "population"],
+                              np.column_stack((np.arange(basis.dim), c.real, c.imag,
+                                               obs.populations))),
+            "propagate.json": {"j_max": basis.j_max, "kinetic_energy": obs.kinetic_energy,
+                               "orientation": obs.orientation, "alignment": obs.alignment,
+                               "coefficients_re": c.real.tolist(),
+                               "coefficients_im": c.imag.tolist(),
+                               "populations": obs.populations.tolist()}}
+
+
+def _analytic_files():
+    loci = zero_loci(0, 1.5, 3)
+    return {"zero_loci.csv": (["n", "sigma_exact", "sigma_taylor"],
+                              [(z.n, z.sigma_exact, z.sigma_taylor) for z in loci]),
+            "zero_loci.json": {"loci": [{"n": z.n, "sigma_exact": z.sigma_exact,
+                                         "sigma_taylor": z.sigma_taylor} for z in loci]}}
+
+
+def _sweep_files(res):
+    files = dict.fromkeys(("records.csv", "records.json"), (record_columns(res), res.table))
+    for name, loci in (("drops.csv", res.drop_loci), ("minima.csv", res.minima_2d)):
+        if loci:
+            files[name] = (["P", "sigma", "energy"], loci)
+    if res.errors:
+        files["failures.json"] = [{"P": r.p, "sigma": r.sigma, "error": r.error}
+                                  for r in res.failures()]
+    return files
+
+
+def _last_point_failed(grid, drop_rel_threshold=0.10):
+    """A sweep of one P whose last point failed: a real first point and a hand-made failure."""
+    first = run_sweep(SweepGrid(grid.p_values, grid.sigma_values[:1])).records[0]
+    return SweepResult(grid, records=[first, PointRecord(
+        p=grid.p_values[0], sigma=grid.sigma_values[-1], j0=grid.j0, j_max=-1, energy=math.nan,
+        orientation=math.nan, alignment=math.nan, populations=np.array([]),
+        coeff_abs=np.array([]), failed=True, error="basis did not converge")])
+
+
+# a check's comparisons may give a numpy bool, which json cannot write
+_CHECKS = [CheckResult("stub-pass", True, "ok"), CheckResult("stub-fail", False, "bad 1.5"),
+           CheckResult("numpy-bool", np.float64(1.0) > 0.5, "ok")]
+_SURFACE_ARGS = ["--P-min", "4.1", "--P-max", "7.2", "--P-step", "0.1",
+                 "--sigma-min", "5.7", "--sigma-max", "8.8", "--sigma-step", "0.1"]
+
+# Each CLI run: its argv, the cli names it replaces by stubs, and the values
+# each file it writes must read back as, computed in-process.
+CLI_RUNS = {
+    "propagate": (["propagate", "--P", "1.5", "--sigma", "3.044"], {}, _propagate_files),
+    "analytic": (["analytic", "--P", "1.5", "--n-max", "3"], {}, _analytic_files),
+    "sweep": (["sweep"] + _SURFACE_ARGS, {}, lambda: _sweep_files(run_sweep(
+        SweepGrid.from_ranges(axis("P", 4.1, 7.2, 0.1), 5.7, 8.8, 0.1)))),
+    "failed_sweep": (["sweep", "--P", "1.5", "--sigma-min", "1", "--sigma-max", "1.5",
+                      "--sigma-step", "0.5"], {"run_sweep": _last_point_failed},
+                     lambda: _sweep_files(_last_point_failed(SweepGrid((1.5,), (1.0, 1.5))))),
+    "validate": (["validate"], {"run_acceptance": lambda **kw: _CHECKS}, lambda: {
+        "validate.json": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                          for c in _CHECKS]}),
+}
+
+
+class TestCliFiles:
+    """Every CSV and JSON file the CLI writes reads back as the values it was
+    written from, bit for bit; every CSV is csv.writer's CRLF layout of
+    FLOAT_FMT cells."""
+
+    def test_runs_cover_every_file(self):
+        names = {name for *_, files in CLI_RUNS.values() for name in files()}
+        assert names == {"propagate.csv", "propagate.json", "zero_loci.csv", "zero_loci.json",
+                         "records.csv", "records.json", "drops.csv", "minima.csv",
+                         "failures.json", "validate.json"}
+
+    @pytest.mark.parametrize("run", sorted(CLI_RUNS))
+    def test_files_read_back_bit_for_bit(self, run, tmp_path, monkeypatch):
+        argv, stubs, files = CLI_RUNS[run]
+        for name, stub in stubs.items():
+            monkeypatch.setattr(cli, name, stub)
+        assert cli.main(argv + ["--formats", "csv,json", "--out", str(tmp_path)]) in (0, 2, 3)
+        want = files()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")) == (
+            sorted(want))
+        for name, value in want.items():
+            path = tmp_path / name
+            if name == "records.json":
+                cols, data, _ = read_records_json(path)
+            elif name.endswith(".csv"):
+                cols, data = read_records_csv(path)
+                layout = io.StringIO(newline="")
+                csv.writer(layout).writerows([cols] + [[_f(v) for v in row] for row in data])
+                assert path.read_bytes() == layout.getvalue().encode(), name
+            else:
+                doc = json.loads(path.read_text())
+                assert (doc == value if isinstance(value, list)
+                        else {k: doc[k] for k in value} == value), name
+                continue
+            assert cols == list(value[0]), name
+            assert _same_bits(data, np.asarray(value[1], dtype=float).reshape(-1, len(cols))), name
+
+
 class TestReproducibility:
     def test_byte_identical_with_source_date_epoch(self, result, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -93,6 +213,15 @@ class TestReproducibility:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         doc = json.loads((tmp_path / "a" / "records.json").read_text())
         assert doc["metadata"]["timestamp"] == "2023-11-14T22:13:20Z"
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e3", "1.5", " ", "99999999999999999999"])
+    def test_malformed_source_date_epoch_writes_no_file(self, epoch, result, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(ValueError, match="^SOURCE_DATE_EPOCH must be a whole number of "
+                                             f"seconds, got '{epoch}'$"):
+            write_records(result, tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestFailures:
@@ -145,7 +274,7 @@ def reference_write_records(result, outdir, formats=("csv", "json"), metadata=No
             loci_csv("minima.csv", result.minima_2d)
     if "json" in formats:
         doc = {"metadata": {"config": metadata or {}, "code_version": __version__,
-                            "timestamp": _timestamp()},
+                            "timestamp": timestamp()},
                "columns": cols,
                "records": [[_f(v) for v in row] for row in rows]}
         if result.drop_loci:
@@ -270,6 +399,18 @@ def _same_bits(a, b):
 
 
 class TestRoundTripProperty:
+    @given(st.lists(st.floats(), max_size=40), st.integers(1, 4))
+    def test_write_csv_round_trips_bit_for_bit(self, values, n_cols):
+        rows = np.array(values[:len(values) - len(values) % n_cols]).reshape(-1, n_cols)
+        header = [f"c{j}" for j in range(n_cols)]
+        # three-row blocks, so that a few rows span several "%" calls
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(
+                rotorkick.serialize, "BLOCK_ROWS", 3):
+            path = write_csv(Path(d) / "t.csv", header, rows)
+            cols, data = read_records_csv(path)
+        assert cols == header
+        assert _same_bits(data, rows)
+
     @given(sweep_results())
     def test_every_value_round_trips_bit_for_bit(self, res):
         k = (len(record_columns(res)) - 6) // 2

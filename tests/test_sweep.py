@@ -39,6 +39,7 @@ from rotorkick import (
     run_sweep,
     zero_loci,
 )
+from rotorkick.sweep import axis
 
 
 class TestSweepGrid:
@@ -108,6 +109,80 @@ class TestSweepGrid:
     def test_j0_takes_python_and_numpy_integers(self, j0):
         grid = SweepGrid(p_values=(1.0,), sigma_values=(1.0, 2.0), j0=j0)
         assert run_sweep(grid).table[:, 2].tolist() == [int(j0)] * 2
+
+
+class TestAxis:
+    def test_values_are_rounded_decimals(self):
+        assert axis("sigma", 0.005, 10.0, 0.005)[1878] == 9.395       # 9.395000000000001 unrounded
+        assert axis("P", 0.1, 0.3, 0.1) == (0.1, 0.2, 0.3)
+        assert axis("P", 2.5, 2.5, 0.1) == (2.5,)
+
+    def test_stops_at_the_last_point_not_above_max(self):
+        # the count rounds up on both: 20.8 and 1999.8 steps
+        assert axis("sigma", 1.0, 2.04, 0.05)[-1] == 2.0
+        sigmas = SweepGrid.from_ranges(1.5, 0.005, 10.004, 0.005).sigma_values
+        assert len(sigmas) == 2000 and sigmas[-1] == 10.0
+
+    def test_keeps_an_on_grid_max(self):
+        fig2 = SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005).sigma_values
+        assert len(fig2) == 2000 and fig2[-1] == 10.0
+        block = SweepGrid.from_ranges(axis("P", 4.1, 7.25, 0.05), 5.7, 8.85, 0.05)
+        assert (len(block.p_values), len(block.sigma_values)) == (64, 64)
+        assert (block.p_values[-1], block.sigma_values[-1]) == (7.25, 8.85)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.0, 1.0, 0.5), "^P_max must be >= P_min, got 1.0 < 2.0$"),
+        ((math.nan, 1.0, 0.5), "^P_min must be finite"),
+        ((1.0, 2.0, -0.5), "^P_step must be > 0"),
+    ])
+    def test_errors_name_the_field(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            axis("P", *args)
+
+
+def _old_from_ranges_sigmas(lo, hi, step):
+    """SweepGrid.from_ranges' sigma values before the axis constructor."""
+    return tuple(lo + i * step for i in range(int(round((hi - lo) / step)) + 1))
+
+
+def _old_cli_p(lo, hi, step):
+    """The CLI's P triple before the axis constructor."""
+    return tuple(np.round(lo + np.arange(int(round((hi - lo) / step)) + 1) * step, 12))
+
+
+class TestAxisGate:
+    """The axis constructor against the grids it replaced: the same grid
+    points, drops and minima, and the same bases."""
+
+    def test_cli_surface_p_axis(self):
+        assert axis("P", 4.1, 7.25, 0.05) == _old_cli_p(4.1, 7.25, 0.05)
+
+    def test_criterion_10_axis(self):
+        old = tuple(np.round(np.arange(0.5, 10.0 + 1e-9, 0.05), 10))
+        assert len(old) == 191 and axis("P", 0.5, 10.0, 0.05) == old
+
+    def _pair(self, new, old):
+        new, old = run_sweep(new), run_sweep(old)
+        assert np.array_equal(new.j_max, old.j_max)
+        assert np.allclose(new.table, old.table, rtol=0, atol=1e-13)
+        return new, old
+
+    def test_fig2_drops_on_the_same_grid_points(self):
+        new, old = self._pair(SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005),
+                              SweepGrid((1.5,), _old_from_ranges_sigmas(0.005, 10.0, 0.005)))
+        assert sum(a != b for a, b in zip(new.grid.sigma_values, old.grid.sigma_values)) == 392
+        index = [[r.grid.sigma_values.index(s) for _, s, _ in r.drop_loci] for r in (new, old)]
+        assert index[0] == index[1] == [608, 1246, 1878]
+        assert [s for _, s, _ in new.drop_loci] == [3.045, 6.235, 9.395]
+
+    def test_surface_minima_on_the_same_cells(self):
+        new, old = self._pair(
+            SweepGrid.from_ranges(axis("P", 4.1, 7.25, 0.05), 5.7, 8.85, 0.05),
+            SweepGrid(_old_cli_p(4.1, 7.25, 0.05), _old_from_ranges_sigmas(5.7, 8.85, 0.05)))
+        cells = [[(r.grid.p_values.index(p), r.grid.sigma_values.index(s))
+                  for p, s, _ in r.minima_2d] for r in (new, old)]
+        assert len(cells[0]) == 5 and cells[0] == cells[1]
+        assert new.minima_line_fit.slope == old.minima_line_fit.slope
 
 
 class TestDetectDrops:
