@@ -48,151 +48,126 @@ class RunConfig:
             f"{key}={val}" for key, val in sorted(self.options.items()) if val is not None]
 
 
-def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    parser = _Parser(prog="rotorkick",
-                     description="Polar rigid rotor driven by a rectangular electric pulse")
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+class _Subcommands(argparse._SubParsersAction):
+    """Reads the --config file's lines as flags after the subcommand and before the given
+    ones: one parser checks both alike, and a given flag, abbreviated or not, wins."""
 
-    def common(p):
-        p.add_argument("--out", default="rotorkick_out", help="output directory")
-        p.add_argument("--formats", default="csv,json",
-                       help="comma-separated subset of csv,json,svg")
-
-    p = sub.add_parser("propagate", help="propagate one (P, sigma) point")
-    p.add_argument("--P", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--j0", type=int, default=0)
-    p.add_argument("--method", choices=["spectral", "rk4"], default="spectral")
-    p.add_argument("--steps", type=int, default=100_000, help="RK4 step count")
-    p.add_argument("--j-max", type=int, default=0, help="fixed basis size; 0 = auto-converge")
-    p.add_argument("--leak-tol", type=float, default=1e-10)
-    common(p)
-
-    p = sub.add_parser("sweep", help="sweep sigma (and optionally P)")
-    p.add_argument("--P", type=float, help="fixed pulse strength (1-D sweep)")
-    p.add_argument("--P-min", type=float)
-    p.add_argument("--P-max", type=float)
-    p.add_argument("--P-step", type=float)
-    p.add_argument("--sigma-min", type=float)
-    p.add_argument("--sigma-max", type=float)
-    p.add_argument("--sigma-step", type=float)
-    p.add_argument("--j0", type=int, default=0)
-    p.add_argument("--basis", choices=["auto", "fixed"], default="auto")
-    p.add_argument("--j-max", type=int, default=9, help="basis size for --basis fixed")
-    p.add_argument("--leak-tol", type=float, default=1e-10)
-    p.add_argument("--drop-threshold", type=float, default=0.10,
-                   help="relative depth for drop detection")
-    common(p)
-
-    p = sub.add_parser("analytic", help="two-level zero loci and thresholds")
-    p.add_argument("--P", type=float)
-    p.add_argument("--j0", type=int, choices=[0, 1], default=0)
-    p.add_argument("--n-max", type=int, default=5)
-    common(p)
-
-    p = sub.add_parser("validate", help="run the acceptance suite")
-    p.add_argument("--quick", action="store_true",
-                   help="skip the surface scan")
-    p.add_argument("--seed", type=int, default=12345)
-    common(p)
-    return parser, dict(sub.choices)
+    def __call__(self, parser, namespace, args, option_string=None):
+        if namespace.config:
+            args = [args[0], *_config_flags(namespace.config, self.choices[args[0]]), *args[1:]]
+        super().__call__(parser, namespace, args, option_string)
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags of parser named by the key=value lines of a config file, in file order.
+    A key is a flag's dest (P_min for --P-min); a switch takes true/false, 1/0 or yes/no."""
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    args = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
-    return values
+        if key not in flags:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        flag = flags[key].option_strings[0]
+        if flags[key].nargs != 0:
+            args.append(f"{flag}={val}")
+        elif val.lower() in ("true", "1", "yes"):
+            args.append(flag)
+        elif val.lower() not in ("false", "0", "no"):
+            raise UsageError(f"{path}:{lineno}: {key} takes true or false, got {val!r}")
+    return args
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    """Parse CLI arguments, merging in an optional key=value config file.
-
-    Flags override config-file keys; unknown config keys are rejected.
-    """
-    parser, sub_map = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.print_usage(sys.stderr)
-        raise UsageError("a subcommand is required (propagate | sweep | analytic | validate)")
-    options = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    if ns.config:
-        file_vals = _read_config_file(ns.config)
-        actions = {a.dest: a for a in sub_map[ns.command]._actions if a.dest != "help"}
-        unknown = set(file_vals) - set(actions)
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        # apply file values only where the flag was left at its default
-        explicit = _explicit_dests(argv)
-        options.update({key: _coerce(val, actions[key])
-                        for key, val in file_vals.items() if key not in explicit})
-    _validate_options(ns.command, options)
-    return RunConfig(command=ns.command, options=options)
-
-
-def _explicit_dests(argv: list[str]) -> set[str]:
-    return {tok[2:].split("=", 1)[0].replace("-", "_") for tok in argv if tok.startswith("--")}
-
-
-def _coerce(text: str, action: argparse.Action):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        return text.lower() in ("1", "true", "yes")
-    if action.type is not None:
-        try:
-            return action.type(text)
-        except ValueError as exc:
-            raise UsageError(f"bad value for config key {action.dest}: {text!r}") from exc
+def _formats(text: str) -> str:
+    unknown = set(text.split(",")) - {"csv", "json", "svg"}
+    if unknown:
+        raise UsageError(f"unknown output formats: {', '.join(sorted(unknown))}")
     return text
 
 
-def _validate_options(command: str, opt: dict) -> None:
-    def positive(key):
-        if opt.get(key) is not None and not 0 < opt[key] < math.inf:
-            raise UsageError(f"--{key.replace('_', '-')} must be finite and > 0")
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="rotorkick",
+                     description="Polar rigid rotor driven by a rectangular electric pulse")
+    parser.add_argument("--config", help="flat key=value file of flags; given flags override it")
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands,
+                                parser_class=_Parser)
 
-    def require(*keys):
-        missing = [k for k in keys if opt.get(k) is None]
-        if missing:
-            flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-            raise UsageError(f"required (by flag or config file): {flags}")
+    def arg(p, flag, rule, conv=float, **kw):
+        """Add flag of type conv, whose value is refused as "{flag} must be {rule[0]}" unless
+        rule[1](value), by a UsageError that argparse passes on without its own prefix."""
+        def check(text: str):
+            value = conv(text)
+            if not rule[1](value):
+                raise UsageError(f"{flag} must be {rule[0]}")
+            return value
+        check.__name__ = conv.__name__      # argparse names it in "invalid float value: 'x'"
+        p.add_argument(flag, type=check, **kw)
 
-    if command in ("propagate", "sweep", "analytic"):
-        for key in ("P", "P_min", "P_max"):
-            if opt.get(key) is not None and not 0 <= opt[key] < math.inf:
-                raise UsageError(f"--{key.replace('_', '-')} must be finite and >= 0")
-    if command == "propagate":
-        require("P", "sigma")
-        positive("sigma")
-        positive("steps")
-        if opt["j_max"] < 0:
-            raise UsageError("--j-max must be >= 0")
-    if command == "sweep":
-        require("sigma_min", "sigma_max", "sigma_step")
-        for key in ("sigma_min", "sigma_max", "sigma_step", "P_step"):
-            positive(key)
-        two_d = any(opt.get(k) is not None for k in ("P_min", "P_max", "P_step"))
-        if two_d and not all(opt.get(k) is not None for k in ("P_min", "P_max", "P_step")):
+    non_negative = "finite and >= 0", lambda x: 0 <= x < math.inf
+    positive = "finite and > 0", lambda x: 0 < x < math.inf
+
+    def common(p):
+        p.add_argument("--out", default="rotorkick_out", help="output directory")
+        p.add_argument("--formats", type=_formats, default="csv,json",
+                       help="comma-separated subset of csv,json,svg")
+
+    p = sub.add_parser("propagate", help="propagate one (P, sigma) point")
+    arg(p, "--P", non_negative, required=True)
+    arg(p, "--sigma", positive, required=True)
+    p.add_argument("--j0", type=int, default=0)
+    p.add_argument("--method", choices=["spectral", "rk4"], default="spectral")
+    arg(p, "--steps", positive, int, default=100_000, help="RK4 step count")
+    arg(p, "--j-max", (">= 0", lambda n: n >= 0), int, default=0,
+        help="fixed basis size; 0 = auto-converge")
+    p.add_argument("--leak-tol", type=float, default=1e-10)
+    common(p)
+
+    p = sub.add_parser("sweep", help="sweep sigma (and optionally P)")
+    arg(p, "--P", non_negative, help="fixed pulse strength (1-D sweep)")
+    arg(p, "--P-min", non_negative)
+    arg(p, "--P-max", non_negative)
+    arg(p, "--P-step", positive)
+    for flag in ("--sigma-min", "--sigma-max", "--sigma-step"):
+        arg(p, flag, positive, required=True)
+    p.add_argument("--j0", type=int, default=0)
+    p.add_argument("--basis", choices=["auto", "fixed"], default="auto")
+    p.add_argument("--j-max", type=int, default=9, help="basis size for --basis fixed")
+    p.add_argument("--leak-tol", type=float, default=1e-10)
+    arg(p, "--drop-threshold", ("in (0, 1)", lambda x: 0 < x < 1), default=0.10,
+        help="relative depth for drop detection")
+    common(p)
+
+    p = sub.add_parser("analytic", help="two-level zero loci and thresholds")
+    arg(p, "--P", non_negative, required=True)
+    p.add_argument("--j0", type=int, choices=[0, 1], default=0)
+    arg(p, "--n-max", (">= 1", lambda n: n >= 1), int, default=5)
+    common(p)
+
+    p = sub.add_parser("validate", help="run the acceptance suite")
+    p.add_argument("--quick", action="store_true", help="skip the surface scan")
+    p.add_argument("--seed", type=int, default=12345)
+    common(p)
+    return parser
+
+
+def parse_config(argv: list[str]) -> RunConfig:
+    """Parse CLI arguments.  The lines of an optional --config file count as
+    flags given before the others, so a given flag overrides its key."""
+    ns = _build_parser().parse_args(argv)
+    opt = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    if ns.command == "sweep":
+        two_d = any(opt[k] is not None for k in ("P_min", "P_max", "P_step"))
+        if two_d and not all(opt[k] is not None for k in ("P_min", "P_max", "P_step")):
             raise UsageError("2-D sweeps need all of --P-min, --P-max, --P-step")
-        if two_d and opt.get("P") is not None:
+        if two_d and opt["P"] is not None:
             raise UsageError("--P conflicts with --P-min/--P-max/--P-step")
-        if not two_d and opt.get("P") is None:
+        if not two_d and opt["P"] is None:
             raise UsageError("either --P or the --P-min/--P-max/--P-step triple is required")
-        if not 0 < opt["drop_threshold"] < 1:
-            raise UsageError("--drop-threshold must be in (0, 1)")
-    if command == "analytic":
-        require("P")
-        if opt["n_max"] < 1:
-            raise UsageError("--n-max must be >= 1")
-    fmts = set(opt.get("formats", "csv,json").split(","))
-    if not fmts <= {"csv", "json", "svg"}:
-        raise UsageError(f"unknown output formats: {', '.join(sorted(fmts - {'csv', 'json', 'svg'}))}")
+    return RunConfig(command=ns.command, options=opt)
 
 
 def _echo_config(cfg: RunConfig, outdir: Path) -> None:
@@ -313,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:    # OSError: an unreadable --config file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

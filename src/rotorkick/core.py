@@ -23,8 +23,16 @@ import numpy as np
 HBAR_SI = 1.054571817e-34
 # The largest basis that auto mode tries before it gives up on a point.
 _J_MAX_CAP = 400
+# The most points a sweep axis may hold (fig2's sigma axis has 2000).
+_AXIS_POINTS_CAP = 1_000_000
 # Most matrices each shared builder keeps (at most about 10 MiB at the cap).
 _SHARED_MATRICES = 8
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """ValueError unless value is an integer >= low (a Python or numpy integer, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_strength(strength: float) -> None:
@@ -70,8 +78,7 @@ class RotorBasis:
     j_max: int
 
     def __post_init__(self):
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {self.j_max}")
+        _check_integer("j_max", self.j_max, 1)
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import zero_loci
-from .core import RotorBasis, _bands, _j2
+from .core import _AXIS_POINTS_CAP, RotorBasis, _bands, _check_integer, _j2
 from .observables import _expectations
 from .propagate import _check_j0, _ladder, _leak, _leak_error, _propagate_points
 
@@ -34,7 +34,8 @@ def _check_values(name: str, values, positive: bool) -> np.ndarray:
 def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
     """The grid axis lo, lo + step, ... to the last point <= hi, each value
     rounded to 12 decimals: the double nearest its decimal grid value.  A
-    ValueError names the field ({name}_min, {name}_max or {name}_step)."""
+    ValueError names the field ({name}_min, {name}_max or {name}_step), also
+    for a step that gives more than _AXIS_POINTS_CAP points."""
     for field, value in (("min", lo), ("max", hi), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{name}_{field} must be finite, got {value}")
@@ -42,14 +43,12 @@ def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"{name}_step must be > 0, got {step}")
     if not hi >= lo:
         raise ValueError(f"{name}_max must be >= {name}_min, got {hi} < {lo}")
-    values = [round(lo + i * step, 12) for i in range(round((hi - lo) / step) + 1)]
+    steps = (hi - lo) / step       # inf when the quotient overflows
+    if not steps <= _AXIS_POINTS_CAP - 1:
+        raise ValueError(f"{name}_step {step} gives {steps + 1:.4g} points from {name}_min to "
+                         f"{name}_max, more than {_AXIS_POINTS_CAP}")
+    values = [round(lo + i * step, 12) for i in range(round(steps) + 1)]
     return tuple(values if values[-1] <= round(hi, 12) else values[:-1])  # the count may round up
-
-
-def _check_j0_integer(j0) -> None:
-    """ValueError unless J0 is an integer >= 0 (a Python or numpy integer, not a bool)."""
-    if isinstance(j0, bool) or not isinstance(j0, (int, np.integer)) or j0 < 0:
-        raise ValueError(f"J0 must be an integer >= 0, got {j0!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class SweepGrid:
                 raise ValueError(f"{name} values must be a non-empty 1-D sequence")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} values must be strictly increasing")
-        _check_j0_integer(self.j0)
+        _check_integer("J0", self.j0, 0)
         if self.basis_mode not in ("auto", "fixed"):
             raise ValueError(f"unknown basis mode {self.basis_mode!r}")
 
@@ -168,7 +167,7 @@ def _point_records(table, j_max, errors) -> list[PointRecord]:
 
 def _evaluate(p, sigma, j0, basis_mode, j_max, leak_tol):
     """evaluate_points' work, as the (table, j_max, errors) that SweepResult holds."""
-    _check_j0_integer(j0)
+    _check_integer("J0", j0, 0)
     p_arr = _check_values("P", p, positive=False)
     s_arr = _check_values("sigma", sigma, positive=True)
     if p_arr.shape != s_arr.shape or p_arr.ndim != 1:
@@ -229,6 +228,7 @@ def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
     from detection; the sweep itself never aborts on a point failure.
     A surface whose minima admit no line fit keeps minima_line_fit None.
     """
+    _check_drop_threshold(drop_rel_threshold)
     p_vals, s_vals = grid.p_values, grid.sigma_values
     result = SweepResult(grid, columns=_evaluate(
         np.repeat(p_vals, len(s_vals)), np.tile(s_vals, len(p_vals)), grid.j0,
@@ -245,6 +245,12 @@ def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
         except ValueError:      # under two minima, no cluster of two, or no parabola exists
             pass
     return result
+
+
+def _check_drop_threshold(rel_threshold: float) -> None:
+    """ValueError unless the relative drop depth is in (0, 1); NaN is not."""
+    if not 0 < rel_threshold < 1:
+        raise ValueError(f"drop threshold must be in (0, 1), got {rel_threshold}")
 
 
 def _drops(e: np.ndarray, rel_threshold: float) -> list[tuple[int, int]]:
@@ -274,6 +280,7 @@ def detect_drops(energies: np.ndarray, rel_threshold: float = 0.10) -> list[int]
     The series boundaries act as the enclosing maxima for edge-adjacent
     minima.  Positions are grid points; no sub-grid interpolation.
     """
+    _check_drop_threshold(rel_threshold)
     e = np.asarray(energies, dtype=float)
     if e.size < 5:
         raise ValueError("drop detection needs at least 5 points")

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -63,6 +64,68 @@ class TestParseConfig:
         with pytest.raises(cli.UsageError):
             parse_config(["analytic", "--P", "1.5", "--formats", "csv,pdf"])
 
+    def test_config_value_checked_against_choices(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("P=1.5\nsigma=3.0\nmethod=euler\n")
+        assert main(["--config", str(cfgfile), "propagate", "--out", str(tmp_path / "out")]) == 1
+        assert "invalid choice: 'euler'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("P=-1", "--P must be finite and >= 0"),
+        ("sigma_step=nan", "--sigma-step must be finite and > 0"),
+        ("drop_threshold=1.5", "--drop-threshold must be in (0, 1)"),
+        ("j_max=2.5", "invalid int value: '2.5'"),
+    ])
+    def test_config_value_checked_like_its_flag(self, line, message, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"P=1.5\nsigma_min=1\nsigma_max=2\nsigma_step=0.5\n{line}\n")
+        assert main(["--config", str(cfgfile), "sweep", "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--drop-threshold", "--drop"])
+    def test_given_flag_overrides_config_abbreviated_or_not(self, flag, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("P=1.5\nsigma_min=1\nsigma_max=2\nsigma_step=0.5\n"
+                           "drop_threshold=0.3\n")
+        cfg = parse_config(["--config", str(cfgfile), "sweep", flag, "0.2"])
+        assert cfg.options["drop_threshold"] == 0.2
+
+    @pytest.mark.parametrize("value, quick", [
+        ("true", True), ("yes", True), ("1", True), ("false", False), ("no", False),
+        ("0", False), ("FALSE", False), ("maybe", None), ("", None),
+    ])
+    def test_config_switch_values(self, value, quick, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_acceptance", lambda **kw: [CheckResult("stub", True, "ok")])
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"quick={value}\n")
+        argv = ["--config", str(cfgfile), "validate", "--out", str(tmp_path / "out")]
+        if quick is None:
+            assert main(argv) == 1
+        else:
+            assert parse_config(argv).options["quick"] is quick
+
+    def test_unreadable_config_file_is_1(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "absent.cfg"), "analytic", "--P", "1.5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_config_file_writes_the_same_bytes_as_flags(self, tmp_path, monkeypatch):
+        # a fig2-shaped sweep: P and sigma from flags, then from a config file
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "out"
+        flags = ["--P", "1.5", "--sigma-min", "0.005", "--sigma-max", "10",
+                 "--sigma-step", "0.005"]
+        names = ("records.csv", "records.json", "config_echo.txt")
+        assert main(["sweep", *flags, "--out", str(out)]) == 0
+        want = {name: (out / name).read_bytes() for name in names}
+        shutil.rmtree(out)
+        cfgfile = tmp_path / "fig2.cfg"
+        cfgfile.write_text("P=1.5\nsigma_min=0.005\nsigma_max=10\nsigma_step=0.005\n")
+        assert main(["--config", str(cfgfile), "sweep", "--out", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == want
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -98,6 +161,17 @@ class TestExitCodes:
         argv = ["sweep", *grid_args, "--sigma-step", "0.5", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid_args, field", [
+        (["--P", "1.5", "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "1e-320"],
+         "sigma_step"),
+        (["--P-min", "1", "--P-max", "2", "--P-step", "1e-320", "--sigma-min", "1",
+          "--sigma-max", "2", "--sigma-step", "0.5"], "P_step"),
+    ])
+    def test_oversized_axis_is_1(self, grid_args, field, tmp_path, capsys):
+        assert main(["sweep", *grid_args, "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field} 1e-320 gives inf points" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("epoch", ["abc", "1e3", "1.5"])

@@ -276,6 +276,17 @@ class TestSharedBuilders:
         assert builder(RotorBasis(401)) is not builder(RotorBasis(401))
 
 
+class TestRotorBasis:
+    @pytest.mark.parametrize("j_max", [0, -3, 2.5, 9.0, True, np.int64(0), "9", None])
+    def test_j_max_must_be_an_integer_at_least_1(self, j_max):
+        with pytest.raises(ValueError, match=r"^j_max must be an integer >= 1, got "):
+            RotorBasis(j_max)
+
+    @pytest.mark.parametrize("j_max", [1, 9, np.int64(4), np.int32(12)])
+    def test_j_max_takes_python_and_numpy_integers(self, j_max):
+        assert RotorBasis(j_max).dim == int(j_max) + 1
+
+
 class TestWavepacket:
     def test_pure_state(self):
         psi = Wavepacket.pure(RotorBasis(4), 2)

@@ -139,6 +139,21 @@ class TestAxis:
         with pytest.raises(ValueError, match=message):
             axis("P", *args)
 
+    @pytest.mark.parametrize("step, count", [(1e-320, "inf"), (1e-9, "1e\\+09")])
+    def test_oversized_count_refused_before_any_list(self, step, count, monkeypatch):
+        # 1e-320 overflows the point count; 1e-9 would build a 10^9-element list
+        def no_range(*args):
+            raise AssertionError("axis started building its values")
+        monkeypatch.setattr(rotorkick.sweep, "range", no_range, raising=False)
+        with pytest.raises(ValueError, match=f"^sigma_step {step} gives {count} points from "
+                                             "sigma_min to sigma_max, more than 1000000$"):
+            axis("sigma", 1.0, 2.0, step)
+
+    def test_count_at_the_cap_is_kept(self):
+        assert len(axis("sigma", 0.0, 999_999.0, 1.0)) == 1_000_000
+        with pytest.raises(ValueError, match="more than 1000000"):
+            axis("sigma", 0.0, 1_000_000.0, 1.0)
+
 
 def _old_from_ranges_sigmas(lo, hi, step):
     """SweepGrid.from_ranges' sigma values before the axis constructor."""
@@ -209,6 +224,14 @@ class TestDetectDrops:
         e = np.array([1.0, 0.9, 0.8, 0.9, 1.0])
         assert detect_drops(e, rel_threshold=0.05) == [2]
         assert detect_drops(e, rel_threshold=0.25) == []
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.0, math.inf])
+    def test_threshold_outside_0_1_refused(self, threshold):
+        e = np.array([1.0, 0.9, 0.2, 0.9, 1.0])
+        with pytest.raises(ValueError, match=r"^drop threshold must be in \(0, 1\), got "):
+            detect_drops(e, threshold)
+        with pytest.raises(ValueError, match=r"^drop threshold must be in \(0, 1\), got "):
+            run_sweep(SweepGrid.from_ranges(1.5, 2.8, 3.2, 0.1), drop_rel_threshold=threshold)
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +404,10 @@ class TestDetectionGate:
         res = run_sweep(SweepGrid(p_values=(1.0, 2.0, 3.0), sigma_values=(1.0, 2.0, 3.0, 4.0, 5.0)))
         assert res.drop_loci == reference_drop_loci(res) == [(1.0, 3.0, 0.2), (3.0, 3.0, 0.2)]
 
-    @given(st.lists(_levels, min_size=5, max_size=40), st.sampled_from([0.0, 0.1, 0.5]))
+    # math.ulp(0.0) is the smallest threshold the library takes (it refuses 0): in effect,
+    # every minimum of positive depth is a drop
+    @given(st.lists(_levels, min_size=5, max_size=40),
+           st.sampled_from([math.ulp(0.0), 0.1, 0.5]))
     def test_random_rows(self, row, threshold):
         with np.errstate(over="ignore"):
             want = reference_detect_drops(row, threshold)
