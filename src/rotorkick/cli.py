@@ -1,12 +1,13 @@
 """Command-line interface: propagate | sweep | analytic | validate.
 
-Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
-3 validation failure.
+Exit codes: 0 success, 1 usage error or out of memory, 2 numeric/convergence
+failure, 3 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field
@@ -89,7 +90,9 @@ def _formats(text: str) -> str:
     return text
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built on first use and then kept."""
     parser = _Parser(prog="rotorkick",
                      description="Polar rigid rotor driven by a rectangular electric pulse")
     parser.add_argument("--config", help="flat key=value file of flags; given flags override it")
@@ -115,15 +118,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--formats", type=_formats, default="csv,json",
                        help="comma-separated subset of csv,json,svg")
 
+    def basis(p):
+        p.add_argument("--j0", type=int, default=0)
+        arg(p, "--j-max", (">= 0", lambda n: n >= 0), int, default=0,
+            help="fixed basis size; 0 = auto-converge")
+        p.add_argument("--leak-tol", type=float, default=1e-10)
+
     p = sub.add_parser("propagate", help="propagate one (P, sigma) point")
     arg(p, "--P", non_negative, required=True)
     arg(p, "--sigma", positive, required=True)
-    p.add_argument("--j0", type=int, default=0)
+    basis(p)
     p.add_argument("--method", choices=["spectral", "rk4"], default="spectral")
     arg(p, "--steps", positive, int, default=100_000, help="RK4 step count")
-    arg(p, "--j-max", (">= 0", lambda n: n >= 0), int, default=0,
-        help="fixed basis size; 0 = auto-converge")
-    p.add_argument("--leak-tol", type=float, default=1e-10)
     common(p)
 
     p = sub.add_parser("sweep", help="sweep sigma (and optionally P)")
@@ -133,10 +139,7 @@ def _build_parser() -> _Parser:
     arg(p, "--P-step", positive)
     for flag in ("--sigma-min", "--sigma-max", "--sigma-step"):
         arg(p, flag, positive, required=True)
-    p.add_argument("--j0", type=int, default=0)
-    p.add_argument("--basis", choices=["auto", "fixed"], default="auto")
-    p.add_argument("--j-max", type=int, default=9, help="basis size for --basis fixed")
-    p.add_argument("--leak-tol", type=float, default=1e-10)
+    basis(p)
     arg(p, "--drop-threshold", ("in (0, 1)", lambda x: 0 < x < 1), default=0.10,
         help="relative depth for drop detection")
     common(p)
@@ -217,8 +220,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     p = (opt["P"] if opt.get("P_min") is None
          else axis("P", opt["P_min"], opt["P_max"], opt["P_step"]))
     grid = SweepGrid.from_ranges(p, opt["sigma_min"], opt["sigma_max"], opt["sigma_step"],
-                                 j0=opt["j0"], basis_mode=opt["basis"],
-                                 j_max=opt["j_max"], leak_tol=opt["leak_tol"])
+                                 j0=opt["j0"], j_max=opt["j_max"] or None, leak_tol=opt["leak_tol"])
     timestamp()     # a malformed SOURCE_DATE_EPOCH fails here, before any file is written
     _echo_config(cfg, outdir)
     result = run_sweep(grid, drop_rel_threshold=opt["drop_threshold"])
@@ -298,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:      # a basis or grid too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -105,6 +105,7 @@ class Wavepacket:
             )
         if not 0 <= self.j0 <= self.basis.j_max:
             raise ValueError(f"initial state J0={self.j0} outside basis (j_max={self.basis.j_max})")
+        _check_integer("J0", self.j0, 0)
 
     @property
     def norm(self) -> float:
@@ -112,11 +113,8 @@ class Wavepacket:
 
     @classmethod
     def pure(cls, basis: RotorBasis, j0: int) -> "Wavepacket":
-        if not 0 <= j0 <= basis.j_max:
-            raise ValueError(f"j0={j0} outside basis 0..{basis.j_max}")
-        c = np.zeros(basis.dim, dtype=np.complex128)
-        c[j0] = 1.0
-        return cls(basis=basis, coefficients=c, j0=j0)
+        """|J0, 0>; __post_init__ refuses a J0 that is not a level of the basis."""
+        return cls(basis=basis, coefficients=basis.j_values() == j0, j0=j0)
 
 
 class MatrixKind(Enum):

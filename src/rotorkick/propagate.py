@@ -235,14 +235,14 @@ def delta_kick(strength: float, j0: int, basis: RotorBasis) -> Wavepacket:
     Computed as the matrix exponential of i*P*cos on a padded basis
     (pad max(8, ceil(2P)) levels, then truncate): spherical Bessel
     amplitudes decay super-exponentially for J well above P, so the
-    padding bounds truncation error below 1e-10 for P <= 20.
+    padding bounds truncation error below 1e-10 for P <= 20.  That
+    exponential is exp(-i H) at sigma = 0, so the spectral kernel makes it.
     """
     _check_strength(strength)
     _check_j0(j0, basis.j_max)
     pad = max(8, math.ceil(2 * strength))
-    evals, u = np.linalg.eigh(_sym(_bands(basis.j_max + pad)[1], 1))
-    c = u @ (np.exp(1j * strength * evals) * u[j0])
-    return Wavepacket(basis=basis, coefficients=c[: basis.dim], j0=j0)
+    c = _solve(np.array([float(strength)]), np.array([0.0]), j0, basis.j_max + pad)
+    return Wavepacket(basis=basis, coefficients=c[0, : basis.dim], j0=j0)
 
 
 def converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,

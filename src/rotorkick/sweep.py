@@ -55,16 +55,15 @@ def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
 class SweepGrid:
     """Cartesian (P, sigma) grid for one initial state.
 
-    basis_mode "auto" converges the basis per point to leak_tol;
-    "fixed" uses j_max everywhere (j_max=9 reproduces a ten-level model).
+    j_max None converges the basis per point to leak_tol; an integer
+    uses that basis everywhere (j_max=9 reproduces a ten-level model).
     """
 
     p_values: tuple[float, ...]
     sigma_values: tuple[float, ...]
     j0: int = 0
-    basis_mode: str = "auto"       # "auto" | "fixed"
-    j_max: int = 9                  # used when basis_mode == "fixed"
-    leak_tol: float = 1e-10         # used when basis_mode == "auto"
+    j_max: int | None = None
+    leak_tol: float = 1e-10         # used when j_max is None
 
     def __post_init__(self):
         for name, vals, positive in (("P", self.p_values, False),
@@ -75,8 +74,6 @@ class SweepGrid:
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} values must be strictly increasing")
         _check_integer("J0", self.j0, 0)
-        if self.basis_mode not in ("auto", "fixed"):
-            raise ValueError(f"unknown basis mode {self.basis_mode!r}")
 
     @classmethod
     def from_ranges(cls, p, sigma_min, sigma_max, sigma_step, **kw) -> "SweepGrid":
@@ -165,19 +162,17 @@ def _point_records(table, j_max, errors) -> list[PointRecord]:
                 zip(table, j_max.tolist(), table[:, :6].tolist()))]
 
 
-def _evaluate(p, sigma, j0, basis_mode, j_max, leak_tol):
+def _evaluate(p, sigma, j0, j_max, leak_tol):
     """evaluate_points' work, as the (table, j_max, errors) that SweepResult holds."""
     _check_integer("J0", j0, 0)
     p_arr = _check_values("P", p, positive=False)
     s_arr = _check_values("sigma", sigma, positive=True)
     if p_arr.shape != s_arr.shape or p_arr.ndim != 1:
         raise ValueError("P and sigma must be 1-D sequences of the same length")
-    if basis_mode == "fixed":
-        ladder, tol = [RotorBasis(j_max=j_max).j_max], math.inf    # RotorBasis checks j_max
-    elif basis_mode == "auto":
+    if j_max is None:
         ladder, tol = _ladder(j0, leak_tol), leak_tol
     else:
-        raise ValueError(f"unknown basis mode {basis_mode!r}")
+        ladder, tol = [RotorBasis(j_max=j_max).j_max], math.inf    # RotorBasis checks j_max
     if ladder:
         _check_j0(j0, ladder[0])
     table = np.zeros((p_arr.size, 6))
@@ -202,22 +197,22 @@ def _evaluate(p, sigma, j0, basis_mode, j_max, leak_tol):
                            for i in active.tolist()}
 
 
-def evaluate_points(p, sigma, j0: int, basis_mode: str = "auto", j_max: int = 9,
+def evaluate_points(p, sigma, j0: int, j_max: int | None = None,
                     leak_tol: float = 1e-10) -> list[PointRecord]:
     """Propagate the points (p[k], sigma[k]) (spectral) and compute all observables.
 
-    "auto" gives each point the smallest basis whose leak is below leak_tol, as
-    converge_basis does; a point still above it at the cap becomes a failed record
-    with the ConvergenceError text.  "fixed" propagates every point once at j_max.
+    With j_max None each point gets the smallest basis whose leak is below leak_tol,
+    as converge_basis gives; a point still above it at the cap becomes a failed record
+    with the ConvergenceError text.  An integer j_max propagates every point once on it.
     Each basis size makes one call of the spectral kernel for all points it holds.
     """
-    return _point_records(*_evaluate(p, sigma, j0, basis_mode, j_max, leak_tol))
+    return _point_records(*_evaluate(p, sigma, j0, j_max, leak_tol))
 
 
-def evaluate_point(p: float, sigma: float, j0: int, basis_mode: str = "auto",
-                   j_max: int = 9, leak_tol: float = 1e-10) -> PointRecord:
+def evaluate_point(p: float, sigma: float, j0: int, j_max: int | None = None,
+                   leak_tol: float = 1e-10) -> PointRecord:
     """Propagate one grid point (spectral) and compute all observables."""
-    return evaluate_points([p], [sigma], j0, basis_mode, j_max, leak_tol)[0]
+    return evaluate_points([p], [sigma], j0, j_max, leak_tol)[0]
 
 
 def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
@@ -231,8 +226,8 @@ def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
     _check_drop_threshold(drop_rel_threshold)
     p_vals, s_vals = grid.p_values, grid.sigma_values
     result = SweepResult(grid, columns=_evaluate(
-        np.repeat(p_vals, len(s_vals)), np.tile(s_vals, len(p_vals)), grid.j0,
-        grid.basis_mode, grid.j_max, grid.leak_tol))
+        np.repeat(p_vals, len(s_vals)), np.tile(s_vals, len(p_vals)), grid.j0, grid.j_max,
+        grid.leak_tol))
     e = result.energy_surface()
     if len(s_vals) >= 5:
         row_failed = result.failed.reshape(e.shape).any(axis=1)

@@ -44,7 +44,7 @@ def _fmt(vals) -> str:
 
 def sweep_fig2() -> "SweepResult":
     """The reference sweep: P=1.5, sigma 0.005..10 step 0.005, J0=0, auto basis."""
-    grid = SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005, j0=0, basis_mode="auto")
+    grid = SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005, j0=0)
     return run_sweep(grid)
 
 
@@ -154,7 +154,7 @@ def check_two_level_fidelity() -> CheckResult:
     # drop-position agreement for stronger pulses
     worst_pos = 0.0
     for p in (3.0, 5.0):
-        grid = SweepGrid.from_ranges(p, 2.0, 10.0, 0.005, j0=0, basis_mode="auto")
+        grid = SweepGrid.from_ranges(p, 2.0, 10.0, 0.005, j0=0)
         res = run_sweep(grid)
         roots = [z.sigma_exact for z in zero_loci(0, p, 5) if z.sigma_exact >= 2.0]
         for _, sigma, _ in res.drop_loci:
@@ -170,7 +170,7 @@ def check_hybridization_symmetry() -> CheckResult:
     worst = 0.0
     for sigma in (3.0, 6.0):
         j_max = max(evaluate_point(1.5, sigma, j0).j_max for j0 in range(4))
-        mags = np.stack([evaluate_point(1.5, sigma, j0, "fixed", j_max).coeff_abs[:4]
+        mags = np.stack([evaluate_point(1.5, sigma, j0, j_max=j_max).coeff_abs[:4]
                          for j0 in range(4)])
         worst = max(worst, float(np.max(np.abs(mags - mags.T))))
     ok = worst <= 1e-10
@@ -181,7 +181,7 @@ def check_hybridization_symmetry() -> CheckResult:
 def check_surface_structure() -> CheckResult:
     step = 0.05
     grid = SweepGrid(p_values=axis("P", 0.5, 10.0, step),
-                     sigma_values=axis("sigma", 0.5, 10.0, step), j0=0, basis_mode="auto")
+                     sigma_values=axis("sigma", 0.5, 10.0, step), j0=0)
     res = run_sweep(grid)
     minima = detect_surface_minima(res)
     if not minima:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import rotorkick.cli as cli
+import rotorkick.core
+import rotorkick.propagate
 import rotorkick.sweep
 from rotorkick.cli import main, parse_config
 from rotorkick.serialize import read_records_csv
@@ -59,6 +61,12 @@ class TestParseConfig:
             parse_config(["sweep", "--P", "1.5", "--P-min", "1", "--P-max", "2",
                           "--P-step", "0.5", "--sigma-min", "1", "--sigma-max", "2",
                           "--sigma-step", "0.1"])
+
+    def test_parser_built_once(self):
+        parse_config(["analytic", "--P", "1.5"])
+        misses = cli._build_parser.cache_info().misses
+        assert parse_config(["analytic", "--P", "2.5"]).options["P"] == 2.5
+        assert cli._build_parser.cache_info().misses == misses
 
     def test_bad_format(self):
         with pytest.raises(cli.UsageError):
@@ -127,6 +135,10 @@ class TestParseConfig:
         assert {name: (out / name).read_bytes() for name in names} == want
 
 
+# a three-point sweep at the paper's P
+SWEEP = ["sweep", "--P", "1.5", "--sigma-min", "1", "--sigma-max", "2", "--sigma-step", "0.5"]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["propagate", "--P", "1.5"]) == 1  # missing --sigma
@@ -182,6 +194,24 @@ class TestExitCodes:
         assert rc == 1
         assert f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["propagate", "--P", "1.5", "--sigma", "3"], SWEEP])
+    def test_out_of_memory_is_1(self, argv, tmp_path, monkeypatch, capsys):
+        def no_memory(j_max):
+            raise MemoryError(f"cannot hold the bands of j_max={j_max}")
+        for module in (rotorkick.core, rotorkick.propagate):
+            monkeypatch.setattr(module, "_bands", no_memory)
+        assert main([*argv, "--j-max", "100000000", "--out", str(tmp_path)]) == 1
+        assert "error: out of memory: cannot hold the bands of j_max=100000000" in (
+            capsys.readouterr().err)
+
+    def test_negative_j_max_is_1_on_both_commands(self, tmp_path, capsys):
+        errors = []
+        for argv in (["propagate", "--P", "1.5", "--sigma", "3"], SWEEP):
+            assert main([*argv, "--j-max", "-1", "--out", str(tmp_path / "out")]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: --j-max must be >= 0\n"
         assert not (tmp_path / "out").exists()
 
     def test_convergence_failure_is_2(self, tmp_path, capsys):
@@ -304,6 +334,24 @@ class TestSweepCommand:
         assert len(doc["records"]) == 64 * 64
         assert len(doc["minima"]) >= 2
         assert "minima_line_fit" not in doc
+
+    def test_j_max_fixes_the_basis(self, tmp_path):
+        assert main([*SWEEP, "--j-max", "20", "--formats", "csv,json", "--out", str(tmp_path)]) == 0
+        cols, data = read_records_csv(tmp_path / "records.csv")
+        assert len(cols) == data.shape[1] == 6 + 2 * 21 and data.shape[0] == 3
+        config = json.loads((tmp_path / "records.json").read_text())["metadata"]["config"]
+        assert config["j_max"] == 20 and "basis" not in config
+        assert "j_max=20" in (tmp_path / "config_echo.txt").read_text().splitlines()
+
+    def test_basis_option_is_gone(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main([*SWEEP, "--basis", "fixed", "--out", out]) == 1
+        assert "unrecognized arguments: --basis fixed" in capsys.readouterr().err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("basis=fixed\n")
+        assert main(["--config", str(cfgfile), *SWEEP, "--out", out]) == 1
+        assert "unknown config key 'basis'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid_args, rc_want", [
         (["--P", "1.5", "--sigma-min", "2.0", "--sigma-max", "4.0", "--sigma-step", "0.05"], 0),

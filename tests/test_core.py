@@ -300,3 +300,10 @@ class TestWavepacket:
     def test_j0_outside_basis(self):
         with pytest.raises(ValueError):
             Wavepacket.pure(RotorBasis(2), 3)
+
+    @pytest.mark.parametrize("j0", [1.5, 1.0, True])
+    def test_j0_must_be_an_integer(self, j0):
+        with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got "):
+            Wavepacket.pure(RotorBasis(2), j0)
+        with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got "):
+            Wavepacket(RotorBasis(2), np.zeros(3), j0)

@@ -27,18 +27,20 @@ def test_all_holds_the_quick_start_names():
 
 def test_cli_imports_neither_numba_nor_scipy(tmp_path):
     # -I: no PYTHONPATH, user site or working directory on the child's path,
-    # so only this checkout's src and the interpreter's own packages are seen
+    # so only this checkout's src and the interpreter's own packages are seen;
+    # the import builds no argument parser either, which comes on first use
     src = str(Path(rotorkick.__file__).resolve().parent.parent)
     code = textwrap.dedent(f"""
         import sys
         sys.path.insert(0, {src!r})
         import rotorkick.cli
         assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
-        print(sorted(m for m in ("numba", "scipy") if m in sys.modules))
+        print(sorted(m for m in ("numba", "scipy") if m in sys.modules),
+              rotorkick.cli._build_parser.cache_info().currsize)
     """)
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] 0"
 
 
 def test_import_starts_no_worker_pool(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,29 @@ class TestDeltaKick:
         for p in (0.5, 1.5, 3.0, 6.0):
             psi = delta_kick(p, 0, RotorBasis(max(12, int(3 * p))))
             assert kinetic_energy(psi) == pytest.approx(2 * p * p / 3, rel=1e-9)
+
+    def test_matches_padded_cos_exponential(self):
+        # the reference: eigh of cos(theta) on the padded basis, then exp(+i P lambda)
+        worst = 0.0
+        for basis in (RotorBasis(4), RotorBasis(12)):
+            for p in np.arange(0.0, 20.5, 0.5).tolist():
+                j = np.arange(basis.j_max + max(8, math.ceil(2 * p)), dtype=float)
+                band = (j + 1) / np.sqrt((2 * j + 1) * (2 * j + 3))
+                evals, u = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
+                for j0 in range(4):
+                    want = (u @ (np.exp(1j * p * evals) * u[j0]))[:basis.dim]
+                    got = delta_kick(p, j0, basis).coefficients
+                    worst = max(worst, float(np.max(np.abs(got - want))))
+        assert worst <= 1e-13
+
+    def test_keeps_the_cached_point(self):
+        _point.cache_clear()
+        pulse = PulseSpec(1.5, 3.044)
+        basis = converge_basis(pulse, 0)
+        delta_kick(1.5, 0, basis)
+        hits = _point.cache_info().hits
+        propagate_spectral(pulse, 0, basis)
+        assert _point.cache_info().hits == hits + 1
 
     def test_single_level_amplitude(self):
         psi = delta_kick(1.5, 0, RotorBasis(10))

@@ -57,8 +57,6 @@ class TestSweepGrid:
             SweepGrid(p_values=(1.0,), sigma_values=(0.0, 1.0))
         with pytest.raises(ValueError):
             SweepGrid(p_values=(-1.0,), sigma_values=(1.0,))
-        with pytest.raises(ValueError):
-            SweepGrid(p_values=(1.0,), sigma_values=(1.0,), basis_mode="adaptive")
 
     @pytest.mark.parametrize("field, bad", [("p_values", math.nan), ("p_values", math.inf),
                                             ("sigma_values", math.nan),
@@ -555,12 +553,12 @@ def reference_converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
         f"(P={pulse.strength}, sigma={pulse.sigma}, J0={j0})")
 
 
-def _scalar_record(p, sigma, j0, basis_mode="auto", j_max=9, leak_tol=1e-10):
+def _scalar_record(p, sigma, j0, j_max=None, leak_tol=1e-10):
     """One point through the reference scalar chain, as a PointRecord."""
     pulse = PulseSpec(strength=p, sigma=sigma)
     try:
-        basis = (RotorBasis(j_max=j_max) if basis_mode == "fixed"
-                 else reference_converge_basis(pulse, j0, leak_tol=leak_tol))
+        basis = (reference_converge_basis(pulse, j0, leak_tol=leak_tol) if j_max is None
+                 else RotorBasis(j_max=j_max))
     except ConvergenceError as exc:
         return PointRecord(p=p, sigma=sigma, j0=j0, j_max=-1, energy=math.nan,
                            orientation=math.nan, alignment=math.nan,
@@ -642,9 +640,9 @@ class TestBatchedEngine:
     def test_fixed_basis_matches_scalar_chain(self, stack_entries):
         p, s = [0.0, 1.5, 4.0, 9.5], [0.01, 3.0, 6.2, 10.0]
         for j0 in (0, 1, 2):
-            got = evaluate_points(p, s, j0, basis_mode="fixed", j_max=9)
+            got = evaluate_points(p, s, j0, j_max=9)
             for pi, si, rec in zip(p, s, got):
-                _assert_same_record(rec, _scalar_record(pi, si, j0, "fixed", 9))
+                _assert_same_record(rec, _scalar_record(pi, si, j0, j_max=9))
 
     def test_failed_point_matches_convergence_error(self):
         p, s = [500.0, 1.5], [0.001, 3.0]
@@ -689,19 +687,17 @@ class TestBatchedEngine:
     def test_no_points(self):
         assert evaluate_points([], [], 0) == []
 
-    @pytest.mark.parametrize("kwargs", [dict(j0=-1), dict(j0=10, basis_mode="fixed", j_max=9),
-                                        dict(j0=0, basis_mode="fixed", j_max=0),
-                                        dict(j0=0, leak_tol=0.0),
-                                        dict(j0=0, basis_mode="adaptive")])
+    @pytest.mark.parametrize("kwargs", [dict(j0=-1), dict(j0=10, j_max=9), dict(j0=0, j_max=0),
+                                        dict(j0=0, leak_tol=0.0)])
     def test_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             evaluate_points([1.5], [3.0], **kwargs)
 
     @pytest.mark.parametrize("j0", [-1, 1.5, True, np.int64(-1)])
-    @pytest.mark.parametrize("basis_mode", ["auto", "fixed"])
-    def test_j0_must_be_an_integer_at_least_0(self, j0, basis_mode):
+    @pytest.mark.parametrize("j_max", [None, 9], ids=["auto", "fixed"])
+    def test_j0_must_be_an_integer_at_least_0(self, j0, j_max):
         with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got "):
-            evaluate_points([1.0], [1.0], j0, basis_mode=basis_mode)
+            evaluate_points([1.0], [1.0], j0, j_max=j_max)
 
     @pytest.mark.parametrize("p, s", [([1.5, math.nan], [3.0, 3.0]), ([math.inf], [3.0]),
                                       ([-1.0], [3.0]), ([1.5], [0.0]), ([1.5], [math.inf]),
@@ -877,7 +873,7 @@ class TestBasisChoiceProperty:
            st.integers(-14, -2).map(lambda e: 10.0 ** e))
     def test_leak_rule(self, p, sigma, j0, leak_tol):
         def leak(j_max):
-            return evaluate_point(p, sigma, j0, "fixed", j_max).populations[-2:].sum()
+            return evaluate_point(p, sigma, j0, j_max).populations[-2:].sum()
 
         rec = evaluate_point(p, sigma, j0, leak_tol=leak_tol)
         chosen = {"converge_basis": converge_basis(PulseSpec(p, sigma), j0, leak_tol).j_max,
@@ -902,10 +898,18 @@ class TestDeterminism:
 
 class TestEvaluatePoint:
     def test_fixed_basis(self):
-        rec = evaluate_point(1.5, 3.0, 0, basis_mode="fixed", j_max=9)
+        rec = evaluate_point(1.5, 3.0, 0, j_max=9)
         assert rec.j_max == 9
         assert rec.populations.size == 10
         assert not rec.failed
+
+    def test_grid_with_j_max_runs_fixed(self):
+        assert SweepGrid(p_values=(1.5,), sigma_values=(3.0,)).j_max is None
+        grid = SweepGrid(p_values=(0.5, 1.5), sigma_values=(1.0, 3.0), j0=1, j_max=9)
+        res = run_sweep(grid)
+        assert res.j_max.tolist() == [9] * 4 and res.table.shape == (4, 6 + 2 * 10)
+        for rec in res.records:
+            _assert_same_record(rec, _scalar_record(rec.p, rec.sigma, 1, j_max=9))
 
     def test_failure_marked_not_raised(self):
         rec = evaluate_point(500.0, 0.001, 0, leak_tol=1e-14)
