@@ -112,6 +112,7 @@ def _build_parser() -> _Parser:
 
     non_negative = "finite and >= 0", lambda x: 0 <= x < math.inf
     positive = "finite and > 0", lambda x: 0 < x < math.inf
+    unit_interval = "in (0, 1)", lambda x: 0 < x < 1
 
     def common(p):
         p.add_argument("--out", default="rotorkick_out", help="output directory")
@@ -122,7 +123,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--j0", type=int, default=0)
         arg(p, "--j-max", (">= 0", lambda n: n >= 0), int, default=0,
             help="fixed basis size; 0 = auto-converge")
-        p.add_argument("--leak-tol", type=float, default=1e-10)
+        arg(p, "--leak-tol", unit_interval, default=1e-10)
 
     p = sub.add_parser("propagate", help="propagate one (P, sigma) point")
     arg(p, "--P", non_negative, required=True)
@@ -140,7 +141,7 @@ def _build_parser() -> _Parser:
     for flag in ("--sigma-min", "--sigma-max", "--sigma-step"):
         arg(p, flag, positive, required=True)
     basis(p)
-    arg(p, "--drop-threshold", ("in (0, 1)", lambda x: 0 < x < 1), default=0.10,
+    arg(p, "--drop-threshold", unit_interval, default=0.10,
         help="relative depth for drop detection")
     common(p)
 

@@ -35,6 +35,15 @@ def _check_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_j0(j0, j_max: int | None = None) -> None:
+    """ValueError unless J0 is a Python or numpy integer, not a bool, and, given
+    j_max, a level of the basis {|J, 0> : J <= j_max}."""
+    if isinstance(j0, bool) or not isinstance(j0, (int, np.integer)):
+        raise ValueError(f"J0 must be an integer >= 0, got {j0!r}")
+    if j_max is not None and not 0 <= j0 <= j_max:
+        raise ValueError(f"J0={j0} outside basis (j_max={j_max})")
+
+
 def _check_strength(strength: float) -> None:
     """ValueError naming P unless the pulse strength is finite and >= 0."""
     if not (math.isfinite(strength) and strength >= 0):
@@ -103,9 +112,7 @@ class Wavepacket:
                 f"coefficient vector has shape {self.coefficients.shape}, "
                 f"expected ({self.basis.dim},)"
             )
-        if not 0 <= self.j0 <= self.basis.j_max:
-            raise ValueError(f"initial state J0={self.j0} outside basis (j_max={self.basis.j_max})")
-        _check_integer("J0", self.j0, 0)
+        _check_j0(self.j0, self.basis.j_max)
 
     @property
     def norm(self) -> float:
@@ -124,15 +131,6 @@ class MatrixKind(Enum):
     HAMILTONIAN = "hamiltonian"
 
 
-# Half-bandwidth of each operator in the |J,0> basis.
-_BANDWIDTH = {
-    MatrixKind.ANGULAR_MOMENTUM_SQUARED: 0,
-    MatrixKind.COS_THETA: 1,
-    MatrixKind.COS2_THETA: 2,
-    MatrixKind.HAMILTONIAN: 1,
-}
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Real symmetric banded operator in the free-rotor basis, stored dense
@@ -149,10 +147,6 @@ class OperatorMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match basis dim {self.basis.dim}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    @property
-    def bandwidth(self) -> int:
-        return _BANDWIDTH[self.kind]
 
 
 def dimensionless_from_physical(dipole: float, field_strength: float,
@@ -215,10 +209,11 @@ def _sym(band: np.ndarray, k: int, diag=0.0) -> np.ndarray:
     return m.reshape(band.shape[:-1] + (d, d))
 
 
-def _hamiltonians(p: np.ndarray, sigma: np.ndarray, j_max: int) -> np.ndarray:
-    """sigma J(J+1) - P cos(theta) per point, stacked; 0 - P c gives +0.0, not -0.0, at P = 0."""
+def _hamiltonians(p, sigma, j_max: int) -> np.ndarray:
+    """sigma J(J+1) - P cos(theta): one matrix for scalars p and sigma, a stack for
+    columns p[:, None] and sigma[:, None]; 0 - P c gives +0.0, not -0.0, at P = 0."""
     j, cos, _, _ = _bands(j_max)
-    return _sym(0.0 - p[:, None] * cos, 1, sigma[:, None] * j * (j + 1))
+    return _sym(0.0 - p * cos, 1, sigma * j * (j + 1))
 
 
 def build_j2_matrix(basis: RotorBasis) -> OperatorMatrix:
@@ -260,6 +255,5 @@ def build_hamiltonian(basis: RotorBasis, pulse: PulseSpec) -> OperatorMatrix:
 
     (eta * sigma = P, so the off-diagonal band is P times the cos band.)
     """
-    p, sigma = np.array([[pulse.strength], [pulse.sigma]], dtype=np.float64)
-    return OperatorMatrix(basis=basis, kind=MatrixKind.HAMILTONIAN,
-                          entries=_hamiltonians(p, sigma, basis.j_max)[0])
+    h = _hamiltonians(float(pulse.strength), float(pulse.sigma), basis.j_max)
+    return OperatorMatrix(basis=basis, kind=MatrixKind.HAMILTONIAN, entries=h)

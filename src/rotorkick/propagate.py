@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_J_MAX_CAP, PulseSpec, RotorBasis, Wavepacket, _bands, _check_strength,
-                   _hamiltonians, _sym, build_hamiltonian)
+from .core import (_J_MAX_CAP, PulseSpec, RotorBasis, Wavepacket, _check_j0, _check_strength,
+                   _hamiltonians, build_hamiltonian)
 
 # Most matrix entries in flight at once: over all the stacks that one call of
 # _propagate_points has being solved together, one stack inline or one a worker.
@@ -96,11 +96,6 @@ def _report(c: np.ndarray, basis: RotorBasis, j0: int, method: Method,
     )
 
 
-def _check_j0(j0: int, j_max: int) -> None:
-    if not 0 <= j0 <= j_max:
-        raise ValueError(f"J0={j0} outside basis (j_max={j_max})")
-
-
 def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
     """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max.
 
@@ -122,33 +117,29 @@ def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> 
     else:
         n = -(-p.size // max(1, _STACK_ENTRIES // size))
     if n <= 1:
-        return _solve(p, sigma, j0, j_max)
+        return _solve(p[:, None], sigma[:, None], j0, j_max)
     cuts = [p.size * i // n for i in range(n + 1)]
     parts = (_executor().map if split else map)(
-        lambda a, b: _solve(p[a:b], sigma[a:b], j0, j_max), cuts[:-1], cuts[1:])
+        lambda a, b: _solve(p[a:b, None], sigma[a:b, None], j0, j_max), cuts[:-1], cuts[1:])
     return np.concatenate(list(parts))
 
 
-def _solve(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
-    """C(1) of one stack: one eigh of the Hamiltonians, then
+def _solve(p, sigma, j0: int, j_max: int) -> np.ndarray:
+    """C(1) of one point (scalars p and sigma) or of a stack (columns p[:, None] and
+    sigma[:, None]): one eigh of the Hamiltonians, then
     C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0)."""
     evals, u = np.linalg.eigh(_hamiltonians(p, sigma, j_max))
-    return np.matmul(u, (np.exp(-1j * evals) * u[:, j0, :])[:, :, None])[:, :, 0]
+    return np.matmul(u, (np.exp(-1j * evals) * u[..., j0, :])[..., None])[..., 0]
 
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _point(p: float, sigma: float, j0: int, j_max: int) -> np.ndarray:
-    """Read-only C(1) of the one point (p, sigma) on the basis j_max.
-
-    The arithmetic of _solve, entry for entry and so bit for bit, on
-    one 2-D matrix instead of a stack of one: at these sizes the stack set-up
-    costs as much as the solve.  The last call is kept, so propagate_spectral on
-    the basis that converge_basis has just accepted solves nothing again; typed,
-    so that a J0 of another type (0.0 for 0) is not served the cached state."""
+    """Read-only C(1) of the one point (p, sigma) on the basis j_max, by _solve on
+    one 2-D matrix.  The last call is kept, so propagate_spectral on the basis that
+    converge_basis has just accepted solves nothing again; typed, so that a J0 of
+    another type (True for 1) is not served the cached state."""
     _check_j0(j0, j_max)
-    j, cos, _, _ = _bands(j_max)
-    evals, u = np.linalg.eigh(_sym(0.0 - p * cos, 1, sigma * j * (j + 1)))
-    c = u @ (np.exp(-1j * evals) * u[j0])
+    c = _solve(p, sigma, j0, j_max)
     c.flags.writeable = False
     return c
 
@@ -241,8 +232,8 @@ def delta_kick(strength: float, j0: int, basis: RotorBasis) -> Wavepacket:
     _check_strength(strength)
     _check_j0(j0, basis.j_max)
     pad = max(8, math.ceil(2 * strength))
-    c = _solve(np.array([float(strength)]), np.array([0.0]), j0, basis.j_max + pad)
-    return Wavepacket(basis=basis, coefficients=c[0, : basis.dim], j0=j0)
+    c = _solve(float(strength), 0.0, j0, basis.j_max + pad)[: basis.dim]
+    return Wavepacket(basis=basis, coefficients=c, j0=j0)
 
 
 def converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
@@ -250,6 +241,7 @@ def converge_basis(pulse: PulseSpec, j0: int, leak_tol: float = 1e-10,
     """Smallest basis (j_max = J0 + 4, growing by 4) whose top-two-state
     population after spectral propagation is below leak_tol."""
     p, sigma = float(pulse.strength), float(pulse.sigma)
+    _check_j0(j0)       # before _ladder builds its range
     for j_max in _ladder(j0, leak_tol, j_max_cap):
         if _state_leak(_point(p, sigma, j0, j_max)) < leak_tol:
             return RotorBasis(j_max=j_max)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import zero_loci
-from .core import _AXIS_POINTS_CAP, RotorBasis, _bands, _check_integer, _j2
+from .core import _AXIS_POINTS_CAP, RotorBasis, _bands, _check_integer, _check_j0, _j2
 from .observables import _expectations
-from .propagate import _check_j0, _ladder, _leak, _leak_error, _propagate_points
+from .propagate import _ladder, _leak, _leak_error, _propagate_points
 
 
 def _check_values(name: str, values, positive: bool) -> np.ndarray:
@@ -57,6 +57,7 @@ class SweepGrid:
 
     j_max None converges the basis per point to leak_tol; an integer
     uses that basis everywhere (j_max=9 reproduces a ten-level model).
+    Every field is checked here, as evaluate_points checks its arguments.
     """
 
     p_values: tuple[float, ...]
@@ -73,7 +74,7 @@ class SweepGrid:
                 raise ValueError(f"{name} values must be a non-empty 1-D sequence")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} values must be strictly increasing")
-        _check_integer("J0", self.j0, 0)
+        _rungs(self.j0, self.j_max, self.leak_tol)
 
     @classmethod
     def from_ranges(cls, p, sigma_min, sigma_max, sigma_step, **kw) -> "SweepGrid":
@@ -162,37 +163,42 @@ def _point_records(table, j_max, errors) -> list[PointRecord]:
                 zip(table, j_max.tolist(), table[:, :6].tolist()))]
 
 
+def _rungs(j0, j_max, leak_tol) -> tuple:
+    """The basis sizes that a point tries in turn and the leak below which it is done,
+    once J0, j_max and leak_tol are checked: the ladder to leak_tol for j_max None,
+    else the one basis j_max, which takes every point."""
+    _check_integer("J0", j0, 0)
+    ladder = _ladder(j0, leak_tol)      # checks leak_tol, for both choices
+    if j_max is None:
+        return ladder, leak_tol
+    _check_j0(j0, RotorBasis(j_max=j_max).j_max)    # RotorBasis checks j_max
+    return [j_max], math.inf
+
+
 def _evaluate(p, sigma, j0, j_max, leak_tol):
     """evaluate_points' work, as the (table, j_max, errors) that SweepResult holds."""
-    _check_integer("J0", j0, 0)
     p_arr = _check_values("P", p, positive=False)
     s_arr = _check_values("sigma", sigma, positive=True)
     if p_arr.shape != s_arr.shape or p_arr.ndim != 1:
         raise ValueError("P and sigma must be 1-D sequences of the same length")
-    if j_max is None:
-        ladder, tol = _ladder(j0, leak_tol), leak_tol
-    else:
-        ladder, tol = [RotorBasis(j_max=j_max).j_max], math.inf    # RotorBasis checks j_max
-    if ladder:
-        _check_j0(j0, ladder[0])
-    table = np.zeros((p_arr.size, 6))
-    table[:, 0], table[:, 1], table[:, 2], table[:, 3:] = p_arr, s_arr, j0, math.nan
-    levels = np.full(p_arr.size, -1)
-    active = np.arange(p_arr.size)
+    ladder, tol = _rungs(j0, j_max, leak_tol)
+    solved, active = [], np.arange(p_arr.size)
     for jm in ladder:
         if not active.size:
             break
         c = _propagate_points(p_arr[active], s_arr[active], j0, jm)
         done = _leak(c) < tol
-        idx, c, active = active[done], c[done], active[~done]
-        if not idx.size:
-            continue
-        k, old = jm + 1, (table.shape[1] - 6) // 2     # rungs grow, so k > old
-        pad = np.zeros((p_arr.size, k - old))
-        table = np.hstack((table[:, :6 + old], pad, table[:, 6 + old:], pad))
+        if done.any():
+            solved.append((jm, active[done], c[done]))
+        active = active[~done]
+    k = solved[-1][0] + 1 if solved else 0      # rungs grow, so the last is the widest
+    table = np.zeros((p_arr.size, 6 + 2 * k))
+    table[:, 0], table[:, 1], table[:, 2], table[:, 3:6] = p_arr, s_arr, j0, math.nan
+    levels = np.full(p_arr.size, -1)
+    for jm, idx, c in solved:
         pop = abs(c) ** 2
         table[idx, 3:6] = np.column_stack(_expectations(c, pop, _j2(jm), *_bands(jm)[1:]))
-        table[idx, 6:6 + k], table[idx, 6 + k:], levels[idx] = pop, np.abs(c), jm
+        table[idx, 6:7 + jm], table[idx, 6 + k:7 + k + jm], levels[idx] = pop, np.abs(c), jm
     return table, levels, {i: _leak_error(leak_tol, *table[i, :2].tolist(), j0)
                            for i in active.tolist()}
 

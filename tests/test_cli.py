@@ -7,7 +7,6 @@ import pytest
 
 import rotorkick.cli as cli
 import rotorkick.core
-import rotorkick.propagate
 import rotorkick.sweep
 from rotorkick.cli import main, parse_config
 from rotorkick.serialize import read_records_csv
@@ -200,8 +199,7 @@ class TestExitCodes:
     def test_out_of_memory_is_1(self, argv, tmp_path, monkeypatch, capsys):
         def no_memory(j_max):
             raise MemoryError(f"cannot hold the bands of j_max={j_max}")
-        for module in (rotorkick.core, rotorkick.propagate):
-            monkeypatch.setattr(module, "_bands", no_memory)
+        monkeypatch.setattr(rotorkick.core, "_bands", no_memory)
         assert main([*argv, "--j-max", "100000000", "--out", str(tmp_path)]) == 1
         assert "error: out of memory: cannot hold the bands of j_max=100000000" in (
             capsys.readouterr().err)
@@ -212,6 +210,18 @@ class TestExitCodes:
             assert main([*argv, "--j-max", "-1", "--out", str(tmp_path / "out")]) == 1
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == "error: --j-max must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["5", "0", "1", "nan"])
+    def test_leak_tol_outside_0_1_is_1_on_both_commands(self, tmp_path, capsys, tol):
+        # refused with a fixed basis too, where the ladder never reads it
+        errors = []
+        for argv in (["propagate", "--P", "1.5", "--sigma", "3"], SWEEP):
+            for j_max in ("9", "0"):
+                assert main([*argv, "--j-max", j_max, "--leak-tol", tol,
+                             "--out", str(tmp_path / "out")]) == 1
+                errors.append(capsys.readouterr().err)
+        assert set(errors) == {"error: --leak-tol must be in (0, 1)\n"}
         assert not (tmp_path / "out").exists()
 
     def test_convergence_failure_is_2(self, tmp_path, capsys):

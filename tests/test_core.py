@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import constants
 from scipy.integrate import quad
 from scipy.special import eval_legendre
@@ -19,7 +21,7 @@ from rotorkick import (
     build_j2_matrix,
     dimensionless_from_physical,
 )
-from rotorkick.core import _bands, _sym
+from rotorkick.core import _bands, _hamiltonians, _sym
 
 
 def legendre_matrix_element(j1, j2, power):
@@ -179,6 +181,17 @@ class TestHamiltonian:
         h = build_hamiltonian(RotorBasis(1), PulseSpec(1.5, 1.0)).entries
         g = 1.5 / math.sqrt(3)
         assert np.allclose(h, [[0.0, -g], [-g, 2.0]], rtol=0, atol=1e-15)
+
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+                              st.floats(0.001, 10.0)), min_size=1, max_size=6),
+           st.integers(1, 60), st.data())
+    def test_bitwise_equal_to_a_row_of_the_stack(self, points, j_max, data):
+        # one filler: the matrix of one point is its row of the stacked fill
+        p, sigma = np.array(points).T
+        stack = _hamiltonians(p[:, None], sigma[:, None], j_max)
+        k = data.draw(st.integers(0, len(points) - 1))
+        h = build_hamiltonian(RotorBasis(j_max), PulseSpec(*points[k])).entries
+        assert h.tobytes() == stack[k].tobytes()
 
 
 # Basis sizes and builders at which the builders' invariants are checked; the

@@ -1,5 +1,6 @@
-"""The package's public surface and its runtime dependencies."""
+"""The package's public surface, its runtime dependencies and its one eigensolve."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -56,3 +57,19 @@ def test_import_starts_no_worker_pool(tmp_path):
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False 1"
+
+
+def test_one_function_calls_eigh():
+    # every spectral result comes from one kernel: one call of an eigh, in
+    # propagate._solve, and none anywhere else in the package, module level included
+    callers = []
+    for path in sorted(Path(rotorkick.__file__).parent.glob("*.py")):
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "eigh":
+                callers.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == ["propagate._solve"]

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
+import rotorkick.propagate
 from rotorkick import (
     ConvergenceError,
     Method,
@@ -369,6 +370,53 @@ class TestEigensolveCount:
             basis = converge_basis(pulse, j0)
             propagate_spectral(pulse, j0, basis)
             assert calls == list(range(j0 + 4, basis.j_max + 1, 4))
+
+
+class TestJ0Rule:
+    """One J0 rule on every one-point entry: an integer (Python or numpy, not a
+    bool) first, then a level of the basis."""
+
+    ENTRIES = {
+        "converge_basis": lambda j0: converge_basis(PulseSpec(1.5, 3.0), j0),
+        "propagate_spectral": lambda j0: propagate_spectral(PulseSpec(1.5, 3.0), j0,
+                                                            RotorBasis(8)),
+        "delta_kick": lambda j0: delta_kick(1.5, j0, RotorBasis(8)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("j0", [2.5, 1.0, True, "1", None])
+    def test_not_an_integer(self, entry, j0):
+        _point.cache_clear()
+        with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got "):
+            self.ENTRIES[entry](j0)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_true_is_not_served_the_state_of_1(self, entry):
+        _point.cache_clear()
+        self.ENTRIES[entry](1)
+        with pytest.raises(ValueError, match=r"^J0 must be an integer >= 0, got True$"):
+            self.ENTRIES[entry](True)
+
+    @pytest.mark.parametrize("j0", [np.int64(1), np.int32(2)])
+    def test_numpy_integers_pass(self, j0):
+        for entry in self.ENTRIES.values():
+            entry(j0)
+
+
+class TestOneKernel:
+    """The one-point solve and the delta-kick are the stacked kernel's _solve."""
+
+    def test_point_and_delta_kick_call_solve(self, monkeypatch):
+        solve, calls = rotorkick.propagate._solve, []
+
+        def spy(p, sigma, j0, j_max):
+            calls.append((p, sigma, j0, j_max))
+            return solve(p, sigma, j0, j_max)
+        monkeypatch.setattr(rotorkick.propagate, "_solve", spy)
+        _point.cache_clear()
+        _point(1.5, 3.0, 1, 8)
+        delta_kick(2.5, 0, RotorBasis(6))
+        assert calls == [(1.5, 3.0, 1, 8), (2.5, 0.0, 0, 6 + 8)]
 
 
 @st.composite

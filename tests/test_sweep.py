@@ -58,6 +58,22 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid(p_values=(-1.0,), sigma_values=(1.0,))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(j_max=2.5), r"^j_max must be an integer >= 1, got 2\.5$"),
+        (dict(j_max=0), r"^j_max must be an integer >= 1, got 0$"),
+        (dict(j_max=True), r"^j_max must be an integer >= 1, got True$"),
+        (dict(leak_tol=5), r"^leak_tol must be in \(0, 1\), got 5$"),
+        (dict(leak_tol=math.nan), r"^leak_tol must be in \(0, 1\), got nan$"),
+        (dict(leak_tol=5, j_max=9), r"^leak_tol must be in \(0, 1\), got 5$"),
+        (dict(j0=5, j_max=3), r"^J0=5 outside basis \(j_max=3\)$"),
+    ])
+    def test_every_field_checked_when_made(self, kwargs, message):
+        # as evaluate_points checks the same arguments, with the same messages
+        with pytest.raises(ValueError, match=message):
+            SweepGrid(p_values=(1.0,), sigma_values=(1.0, 2.0), **kwargs)
+        with pytest.raises(ValueError, match=message):
+            evaluate_points([1.0], [1.0], kwargs.pop("j0", 0), **kwargs)
+
     @pytest.mark.parametrize("field, bad", [("p_values", math.nan), ("p_values", math.inf),
                                             ("sigma_values", math.nan),
                                             ("sigma_values", math.inf)])
