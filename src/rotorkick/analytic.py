@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PulseSpec, _check_strength
+from .core import _N_MAX_CAP, PulseSpec, _check_integer, _check_strength
 
 SQRT3 = math.sqrt(3.0)
 SQRT15 = math.sqrt(15.0)
@@ -113,11 +113,10 @@ def zero_loci(j0: int, strength: float, n_max: int) -> list[ZeroLocus]:
       J0=1: sigma = sqrt((15 n^2 pi^2 - 4 P^2) / 60)
     together with the first-order Taylor approximation in P^2.
     n values with a non-positive radicand are omitted (for J0=0 this
-    enforces n >= P / (sqrt(3) pi)).
+    enforces n >= P / (sqrt(3) pi)).  n_max is an integer in [1, _N_MAX_CAP].
     """
     _check_strength(strength)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_integer("n_max", n_max, 1, _N_MAX_CAP)
     p2 = strength * strength
     out = []
     for n in range(1, n_max + 1):

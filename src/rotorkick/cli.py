@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import existence_threshold, zero_loci
-from .core import PulseSpec, RotorBasis, build_cos2_matrix, build_cos_matrix
+from .core import _N_MAX_CAP, PulseSpec, RotorBasis, build_cos2_matrix, build_cos_matrix
 from .observables import compute_all
 from .propagate import ConvergenceError, converge_basis, propagate_ode, propagate_spectral
 from .serialize import timestamp, write_csv, write_json, write_records
@@ -148,7 +148,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analytic", help="two-level zero loci and thresholds")
     arg(p, "--P", non_negative, required=True)
     p.add_argument("--j0", type=int, choices=[0, 1], default=0)
-    arg(p, "--n-max", (">= 1", lambda n: n >= 1), int, default=5)
+    arg(p, "--n-max", (f"in [1, {_N_MAX_CAP}]", lambda n: 1 <= n <= _N_MAX_CAP), int,
+        default=5)
     common(p)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

@@ -25,14 +25,19 @@ HBAR_SI = 1.054571817e-34
 _J_MAX_CAP = 400
 # The most points a sweep axis may hold (fig2's sigma axis has 2000).
 _AXIS_POINTS_CAP = 1_000_000
+# The most zero-locus branches one zero_loci call may scan.
+_N_MAX_CAP = 100_000
 # Most matrices each shared builder keeps (at most about 10 MiB at the cap).
 _SHARED_MATRICES = 8
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    """ValueError unless value is an integer >= low (a Python or numpy integer, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """ValueError unless value is an integer in [low, high] (a Python or numpy
+    integer, not a bool); high None is no upper bound."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _check_j0(j0, j_max: int | None = None) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import zero_loci
-from .core import _AXIS_POINTS_CAP, RotorBasis, _bands, _check_integer, _check_j0, _j2
+from .core import _AXIS_POINTS_CAP, _N_MAX_CAP, RotorBasis, _bands, _check_integer, _check_j0, _j2
 from .observables import _expectations
 from .propagate import _ladder, _leak, _leak_error, _propagate_points
 
@@ -360,7 +360,8 @@ def compare_drops_to_analytic(drops: list[float], strength: float, j0: int,
     """
     if j0 not in (0, 1):
         raise ValueError(f"analytic loci exist for J0 in {{0, 1}}, got {j0}")
-    n_max = max(10, int(2 * (max(drops) if drops else 1) / math.pi) + 3)
+    # past the last branch zero_loci scans, a drop is reported unmatched
+    n_max = min(_N_MAX_CAP, max(10, int(2 * (max(drops) if drops else 1) / math.pi) + 3))
     loci = zero_loci(j0, strength, n_max)
     out = []
     for s in drops:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import rotorkick.analytic
 from rotorkick import (
     PulseSpec,
     coefficient_c1_of_0,
@@ -16,6 +17,7 @@ from rotorkick import (
     two_level_solution,
     zero_loci,
 )
+from rotorkick.core import _N_MAX_CAP
 
 
 def evaluate_two_level(sol, tau):
@@ -174,6 +176,19 @@ class TestZeroLoci:
             zero_loci(0, 1.0, 0)
         with pytest.raises(ValueError):
             zero_loci(2, 1.0, 3)
+
+    @pytest.mark.parametrize("n_max", [2.5, True, 0, -1, _N_MAX_CAP + 1, 10**18])
+    def test_n_max_checked_before_the_loop(self, n_max, monkeypatch):
+        # no locus is built: the value is refused before the loop starts
+        def no_locus(**kw):
+            raise AssertionError("zero_loci started its loop")
+        monkeypatch.setattr(rotorkick.analytic, "ZeroLocus", no_locus)
+        with pytest.raises(ValueError, match=f"^n_max must be an integer in \\[1, {_N_MAX_CAP}\\]"):
+            zero_loci(0, 1.0, n_max)
+
+    def test_n_max_at_the_cap(self):
+        loci = zero_loci(1, 1.0, _N_MAX_CAP)
+        assert len(loci) == _N_MAX_CAP and loci[-1].n == _N_MAX_CAP
 
 
 class TestExistenceThreshold:

@@ -396,3 +396,13 @@ class TestAnalyticCommand:
         rc = main(["analytic", "--P", "6.0", "--n-max", "1", "--out", str(tmp_path)])
         assert rc == 0
         assert "no real roots" in capsys.readouterr().out
+        assert (tmp_path / "zero_loci.csv").read_bytes() == b"n,sigma_exact,sigma_taylor\r\n"
+
+    @pytest.mark.parametrize("n_max", ["0", "100001", "100000000", "2.5", "True"])
+    def test_n_max_out_of_range_is_1(self, n_max, tmp_path, capsys):
+        argv = ["analytic", "--P", "1.5", "--n-max", n_max, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert ("--n-max must be in [1, 100000]" in err if n_max.isdigit()
+                else "invalid int value" in err)
+        assert not (tmp_path / "out").exists()

@@ -59,6 +59,24 @@ def test_import_starts_no_worker_pool(tmp_path):
     assert out.strip() == "False 1"
 
 
+def test_import_loads_no_writer(tmp_path):
+    # a library user who writes no file pays for neither the writer module
+    # nor its cell kernel's tables, which are built on the first write
+    src = str(Path(rotorkick.__file__).resolve().parent.parent)
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        import rotorkick
+        assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
+        print("rotorkick.serialize" in sys.modules)
+        import rotorkick.serialize
+        print(rotorkick.serialize._tables.cache_info().currsize)
+    """)
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "0"]
+
+
 def test_one_function_calls_eigh():
     # every spectral result comes from one kernel: one call of an eigh, in
     # propagate._solve, and none anywhere else in the package, module level included

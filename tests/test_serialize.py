@@ -26,7 +26,9 @@ from rotorkick import (
     zero_loci,
 )
 from rotorkick.serialize import (
+    FLOAT_FMT,
     _f,
+    _row_blocks,
     read_records_csv,
     read_records_json,
     record_columns,
@@ -425,3 +427,86 @@ class TestRoundTripProperty:
             _, d_json, _ = read_records_json(Path(d) / "records.json")
         assert _same_bits(d_csv, expected)
         assert _same_bits(d_json, expected)
+
+
+def reference_blocks(table, block_rows=256):
+    """The renderer the cell kernel replaced: CSV lines by one "%" call a block,
+    and records.json's rows from the same text by two replacements."""
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    for start in range(0, len(table), block_rows):
+        block = table[start:start + block_rows]
+        text = "\r\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist())
+        yield (text + "\r\n").encode(), (("," if start else "") + '\n  [\n   "' + text.replace(
+            ",", '",\n   "').replace("\r\n", '"\n  ],\n  [\n   "') + '"\n  ]').encode()
+
+
+def _kernel_matches_reference(values, n_cols=1):
+    table = np.asarray(values, dtype=float).reshape(-1, n_cols)
+    new = list(_row_blocks(table, as_csv=True, as_json=True))
+    ref = list(reference_blocks(table))
+    for (csv_new, json_new), (csv_ref, json_ref) in zip(new, ref):
+        assert csv_new == csv_ref
+        assert json_new == json_ref
+    assert len(new) == len(ref)
+
+
+class TestCellKernel:
+    """The numpy %.17g kernel gives the bytes "%" gives, for any float64."""
+
+    @given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(
+        lambda n: float(np.frombuffer(n.to_bytes(8, "little"), np.float64)[0])),
+        min_size=1, max_size=24), st.integers(1, 3))
+    def test_any_floats_give_the_reference_bytes(self, values, n_cols):
+        _kernel_matches_reference(values[:len(values) - len(values) % n_cols] or [0.0] * n_cols,
+                                  n_cols)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(19).integers(0, 2**64, 100_000, dtype=np.uint64,
+                                                  endpoint=False)
+        _kernel_matches_reference(bits.view(np.float64), 4)
+
+    def test_near_every_power_of_ten(self):
+        # where log10 can be one off and the rounding can carry into a new digit
+        powers = 10.0 ** np.arange(-101, 102)
+        _kernel_matches_reference(np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers]))
+
+    @pytest.mark.parametrize("x, text", [
+        (1234567890123456.75, "1234567890123456.8"),      # an exact tie, rounded to even
+        (1234567890123457.25, "1234567890123457.2"),      # and one rounded down to even
+        (9.9999999999999995e-05, "9.9999999999999991e-05"),
+        (1e-4, "0.0001"),                                 # the last fixed value
+        (1e-5, "1.0000000000000001e-05"),
+        (0.1, "0.10000000000000001"),
+        (123.0, "123"),
+        (1e16, "10000000000000000"),
+        (99999999999999999.0, "1e+17"),
+        (1e100, "1e+100"),                                # a three-digit exponent
+        (5e-324, "4.9406564584124654e-324"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+        (-0.0, "-0"),
+        (0.0, "0"),
+        (math.nan, "nan"),
+        (-math.inf, "-inf"),
+    ])
+    def test_named_values(self, x, text):
+        assert text == FLOAT_FMT % x
+        (csv_text, json_text), = _row_blocks(np.array([[x]]), as_csv=True, as_json=True)
+        assert csv_text == text.encode() + b"\r\n"
+        assert json_text == b'\n  [\n   "' + text.encode() + b'"\n  ]'
+
+
+class TestWriteCsv:
+    def test_rows_of_the_wrong_width_write_nothing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="^the header is 3 wide but the rows are 2$"):
+            write_csv(path, ["a", "b", "c"], [[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(ValueError, match=r"^the header is 2 wide but the rows are shaped \(2,\)$"):
+            write_csv(path, ["a", "b"], [1, 2])
+        assert not path.exists()
+
+    def test_no_rows_write_the_header_alone(self, tmp_path):
+        for rows in ([], np.zeros((0, 3))):
+            path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+            assert path.read_bytes() == b"a,b,c\r\n"

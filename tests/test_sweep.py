@@ -1005,6 +1005,11 @@ class TestCompareDrops:
         assert out[0]["matched"] is False
         assert out[0]["n"] is None
 
+    def test_drop_past_the_last_branch_is_unmatched(self):
+        # zero_loci scans at most _N_MAX_CAP branches, which end near sigma = 3.1e5
+        out = compare_drops_to_analytic([3.0, 1e7], 1.5, 0)
+        assert [row["n"] for row in out] == [1, None]
+
     def test_bad_j0(self):
         with pytest.raises(ValueError):
             compare_drops_to_analytic([3.0], 1.5, 2)
