@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import existence_threshold, zero_loci
-from .core import _N_MAX_CAP, PulseSpec, RotorBasis, build_cos2_matrix, build_cos_matrix
+from .core import (_J_MAX_LIMIT, _N_MAX_CAP, PulseSpec, RotorBasis, build_cos2_matrix,
+                   build_cos_matrix)
 from .observables import compute_all
 from .propagate import ConvergenceError, converge_basis, propagate_ode, propagate_spectral
 from .serialize import timestamp, write_csv, write_json, write_records
@@ -99,13 +100,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands,
                                 parser_class=_Parser)
 
-    def arg(p, flag, rule, conv=float, **kw):
-        """Add flag of type conv, whose value is refused as "{flag} must be {rule[0]}" unless
-        rule[1](value), by a UsageError that argparse passes on without its own prefix."""
+    def arg(p, flag, *rules, conv=float, **kw):
+        """Add flag of type conv, whose value is refused as "{flag} must be {rule[0]}" by
+        the first rule for which not rule[1](value), by a UsageError that argparse passes
+        on without its own prefix."""
         def check(text: str):
             value = conv(text)
-            if not rule[1](value):
-                raise UsageError(f"{flag} must be {rule[0]}")
+            for rule in rules:
+                if not rule[1](value):
+                    raise UsageError(f"{flag} must be {rule[0]}")
             return value
         check.__name__ = conv.__name__      # argparse names it in "invalid float value: 'x'"
         p.add_argument(flag, type=check, **kw)
@@ -121,7 +124,8 @@ def _build_parser() -> _Parser:
 
     def basis(p):
         p.add_argument("--j0", type=int, default=0)
-        arg(p, "--j-max", (">= 0", lambda n: n >= 0), int, default=0,
+        arg(p, "--j-max", (">= 0", lambda n: n >= 0),
+            (f"<= {_J_MAX_LIMIT}", lambda n: n <= _J_MAX_LIMIT), conv=int, default=0,
             help="fixed basis size; 0 = auto-converge")
         arg(p, "--leak-tol", unit_interval, default=1e-10)
 
@@ -130,7 +134,7 @@ def _build_parser() -> _Parser:
     arg(p, "--sigma", positive, required=True)
     basis(p)
     p.add_argument("--method", choices=["spectral", "rk4"], default="spectral")
-    arg(p, "--steps", positive, int, default=100_000, help="RK4 step count")
+    arg(p, "--steps", positive, conv=int, default=100_000, help="RK4 step count")
     common(p)
 
     p = sub.add_parser("sweep", help="sweep sigma (and optionally P)")
@@ -148,7 +152,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analytic", help="two-level zero loci and thresholds")
     arg(p, "--P", non_negative, required=True)
     p.add_argument("--j0", type=int, choices=[0, 1], default=0)
-    arg(p, "--n-max", (f"in [1, {_N_MAX_CAP}]", lambda n: 1 <= n <= _N_MAX_CAP), int,
+    arg(p, "--n-max", (f"in [1, {_N_MAX_CAP}]", lambda n: 1 <= n <= _N_MAX_CAP), conv=int,
         default=5)
     common(p)
 

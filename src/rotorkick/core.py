@@ -23,6 +23,9 @@ import numpy as np
 HBAR_SI = 1.054571817e-34
 # The largest basis that auto mode tries before it gives up on a point.
 _J_MAX_CAP = 400
+# The largest basis that a caller may fix: _bands squares a dense (j_max + 2)^2
+# matrix, which at this limit takes about 0.45 s and 100 MiB.
+_J_MAX_LIMIT = 2000
 # The most points a sweep axis may hold (fig2's sigma axis has 2000).
 _AXIS_POINTS_CAP = 1_000_000
 # The most zero-locus branches one zero_loci call may scan.
@@ -92,7 +95,8 @@ class RotorBasis:
     j_max: int
 
     def __post_init__(self):
-        _check_integer("j_max", self.j_max, 1)
+        _check_integer("j_max", self.j_max, 1)     # names the limit only for a j_max above it
+        _check_integer("j_max", self.j_max, 1, _J_MAX_LIMIT)
 
     @property
     def dim(self) -> int:

@@ -173,18 +173,18 @@ def _row_blocks(table: np.ndarray, as_csv: bool, as_json: bool):
     bytes: CSV lines with CRLF ends, and the records of records.json, each after
     the first led by a comma.  Either is None unless asked for.
 
-    Each block is rendered once, into NUL-padded cells laid out between the
-    separators of each format; dropping the NULs leaves the text.
+    Each block is rendered once, into NUL-padded cells laid out between the CSV
+    separators; the JSON cells are copied from those contiguous slots.  Dropping
+    the NULs leaves the text.
     """
     rows, cols = table.shape
     block = min(BLOCK_ROWS, rows)
     if not (block and cols):
         return
     cells = np.empty((_CELL, block * cols), np.uint8)
-    if as_csv:
-        csv_buf = np.zeros((block, cols, _CELL + 2), np.uint8)
-        csv_buf[:, :, _CELL] = ord(",")
-        csv_buf[:, -1, _CELL:] = np.frombuffer(b"\r\n", np.uint8)
+    csv_buf = np.zeros((block, cols, _CELL + 2), np.uint8)
+    csv_buf[:, :, _CELL] = ord(",")
+    csv_buf[:, -1, _CELL:] = np.frombuffer(b"\r\n", np.uint8)
     if as_json:
         lead, sep = len(_JSON_OPEN), len(_JSON_NEXT)
         json_buf = np.zeros((block, lead + cols * (_CELL + sep)), np.uint8)
@@ -196,13 +196,11 @@ def _row_blocks(table: np.ndarray, as_csv: bool, as_json: bool):
         x = table[start:start + block].ravel()
         r = len(x) // cols
         _render(x, cells[:, :len(x)])
-        laid = cells[:, :len(x)].reshape(_CELL, r, cols).transpose(1, 2, 0)
-        csv_text = json_text = None
-        if as_csv:
-            csv_buf[:r, :, :_CELL] = laid
-            csv_text = csv_buf[:r].tobytes().translate(None, b"\0")
+        csv_buf[:r, :, :_CELL] = cells[:, :len(x)].reshape(_CELL, r, cols).transpose(1, 2, 0)
+        csv_text = csv_buf[:r].tobytes().translate(None, b"\0") if as_csv else None
+        json_text = None
         if as_json:
-            json_cells[:r, :, :_CELL] = laid
+            json_cells[:r, :, :_CELL] = csv_buf[:r, :, :_CELL]
             json_buf[0, 0] = ord(",") if start else 0
             json_text = json_buf[:r].tobytes().translate(None, b"\0")
         yield csv_text, json_text

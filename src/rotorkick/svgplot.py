@@ -7,6 +7,7 @@ and polar angular-density plots of a wavepacket.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from pathlib import Path
@@ -15,7 +16,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .core import Wavepacket
-from .sweep import COLUMNS, SweepResult
+from .sweep import COLUMNS, SweepResult, _round_scaled
 
 W, H = 640, 440
 MARGIN = 56
@@ -55,10 +56,55 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return out
 
 
+def _fixed2(x: np.ndarray) -> np.ndarray:
+    """"%.2f" % x[i] for the float64 vector x, as row i of a uint8 array, NUL-padded.
+
+    A row holds the sign, the digits before the point, the point and two
+    digits; a cell that _round_scaled flags is left to "%.2f" itself.  The
+    rows are columns of a character-major array, so each step is one long loop.
+    """
+    m, flagged = _round_scaled(x, 2)
+    n_int = len("%d" % (m.max() // 100)) if m.size else 1   # digits before the point
+    lead = np.floor(m / 10.0 ** np.arange(n_int + 1, -1, -1)[:, None])  # m's leading digits
+    digits = lead + ord("0")            # the last digit of each: lead - 10 * its upper neighbour
+    digits[1:] -= 10 * lead[:-1]
+    digits = digits.astype(np.uint8)
+    digits[:n_int - 1] *= lead[:n_int - 1] > 0      # no leading zeros
+    fallback = [b"%.2f" % v for v in x[flagged].tolist()]
+    out = np.zeros((max([n_int + 4] + [len(t) for t in fallback]), x.size), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    out[1:n_int + 1] = digits[:n_int]
+    out[n_int + 1] = ord(".")
+    out[n_int + 2:n_int + 4] = digits[n_int:]
+    if fallback:
+        out[:, flagged] = np.frombuffer(b"".join(t.ljust(len(out), b"\0") for t in fallback),
+                                        np.uint8).reshape(len(fallback), -1).T
+    return out.T
+
+
+@functools.cache
+def _hex_pairs() -> np.ndarray:
+    """"%02x" % i as row i of a (256, 2) uint8 array."""
+    return np.frombuffer(bytes(range(256)).hex().encode(), np.uint8).reshape(256, 2)
+
+
+def _text(shape: tuple[int, ...], *parts) -> str:
+    """The text of an array of cells of the given shape, row-major, each cell the
+    concatenation of parts: bytes, the same in every cell, or uint8 arrays of
+    NUL-padded text whose leading axes broadcast to shape.  The NULs are dropped."""
+    widths = [len(p) if isinstance(p, bytes) else p.shape[-1] for p in parts]
+    buf = np.empty((*shape, sum(widths)), np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        buf[..., at:at + width] = np.frombuffer(part, np.uint8) if isinstance(part, bytes) else part
+        at += width
+    return buf.tobytes().translate(None, b"\0").decode()
+
+
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """SVG points text "x,y x,y ..." of two equal-length arrays, at 2 decimals."""
-    xy = np.stack((xs, ys), axis=-1).ravel().tolist()
-    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
+    cells = _fixed2(np.concatenate((xs, ys)))
+    return _text((len(xs),), cells[:len(xs)], b",", cells[len(xs):], b" ")[:-1]
 
 
 class _Canvas:
@@ -180,15 +226,16 @@ def _heatmap_figure(result: SweepResult) -> str:
     dh = (H - 2 * MARGIN) / ps.size
     # in [0, 1] on every finite cell, since lo and hi are the finite extremes
     v = np.where(ok, (loge - lo) / (hi - lo or 1.0), 0.0)
-    rgb = (255 * np.stack((np.minimum(1.0, 2 * v), v, np.maximum(0.0, 1.0 - 1.5 * v)))
-           ).astype(int)                # truncation, as int() of each channel
-    fill = np.where(ok, (rgb[0] << 16) | (rgb[1] << 8) | rgb[2], FAILED_FILL)
-    cells = np.empty((ps.size, sigmas.size, 3), dtype=object)
-    cells[..., 0] = MARGIN + np.arange(sigmas.size) * dw                    # x per column
-    cells[..., 1] = ((H - MARGIN - 16) - np.arange(1, ps.size + 1) * dh)[:, None]  # y per row
-    cells[..., 2] = fill
-    cell = f'<rect x="%.2f" y="%.2f" width="{dw + 0.5:.2f}" height="{dh + 0.5:.2f}" fill="#%06x"/>'
-    cv.parts.append("\n".join([cell] * fill.size) % tuple(cells.ravel().tolist()))
+    rgb = (255 * np.stack((np.minimum(1.0, 2 * v), v, np.maximum(0.0, 1.0 - 1.5 * v)), axis=-1)
+           ).astype(np.uint8)           # truncation, as int() of each channel
+    rgb[~ok] = tuple(FAILED_FILL.to_bytes(3, "big"))
+    # x per column and y per row, each rendered once; the fills from the hex table
+    corners = _fixed2(np.concatenate((MARGIN + np.arange(sigmas.size) * dw,
+                                      (H - MARGIN - 16) - np.arange(1, ps.size + 1) * dh)))
+    cv.parts.append(_text(ok.shape, b'<rect x="', corners[:sigmas.size], b'" y="',
+                          corners[sigmas.size:, None],
+                          f'" width="{dw + 0.5:.2f}" height="{dh + 0.5:.2f}" fill="#'.encode(),
+                          _hex_pairs()[rgb].reshape(*ok.shape, 6), b'"/>\n')[:-1])
     return cv.svg()
 
 

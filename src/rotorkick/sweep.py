@@ -31,6 +31,47 @@ def _check_values(name: str, values, positive: bool) -> np.ndarray:
     return arr
 
 
+# Exact decimal rounding of whole arrays: m = round-half-even(|x| 10^d), the
+# integer whose digits round(x, d) and "%.{d}f" % x are made of.  10^d is an
+# exact double for d <= 22, and Dekker's two-product (Numer. Math. 18, 1971)
+# gives |x| 10^d exactly as ph + pl, so the fraction computed from them is off
+# by less than 2^-52.  Rounding needs only the side of 1/2 it lies on: a cell
+# whose fraction is within _HALF_TIE of 1/2, exact ties included, is flagged,
+# as are nan, ±inf and |x| 10^d >= 2^50; the caller rounds those with Python.
+# Below 2^50, m / 10^j rounds to within its distance from the next integer, so
+# floor(m / 10^j) is m's exact leading digits.
+_HALF_TIE = 2.0 ** -30
+_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitter
+
+
+def _halves(a):
+    """a as head + tail, each of at most 26 significant bits (Dekker's split)."""
+    c = _SPLIT * a
+    head = c - (c - a)
+    return head, a - head
+
+
+def _round_scaled(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, flagged) for the float64 vector x: m = round-half-even(|x| 10^d), an exact
+    integer in a float64 array, where flagged is False; 0 on the cells Python must round."""
+    p = float(10 ** d)
+    a = np.abs(x)
+    regular = a < 2.0 ** 50 / p         # False for nan
+    a[~regular] = 0.0
+    ph = a * p
+    a_head, a_tail = _halves(a)
+    p_head, p_tail = _halves(p)
+    pl = ((a_head * p_head - ph) + a_head * p_tail + a_tail * p_head) + a_tail * p_tail
+    whole = np.floor(ph)
+    frac = (ph - whole) + pl            # in [-1/2, 3/2]: pl may carry a unit either way
+    carry = np.floor(frac)
+    frac -= carry
+    flagged = ~regular | (np.abs(frac - 0.5) <= _HALF_TIE)
+    m = whole + carry + (frac > 0.5)
+    m[flagged] = 0.0
+    return m, flagged
+
+
 def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
     """The grid axis lo, lo + step, ... to the last point <= hi, each value
     rounded to 12 decimals: the double nearest its decimal grid value.  A
@@ -47,7 +88,11 @@ def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
     if not steps <= _AXIS_POINTS_CAP - 1:
         raise ValueError(f"{name}_step {step} gives {steps + 1:.4g} points from {name}_min to "
                          f"{name}_max, more than {_AXIS_POINTS_CAP}")
-    values = [round(lo + i * step, 12) for i in range(round(steps) + 1)]
+    raw = lo + np.arange(round(steps) + 1) * step     # lo + i * step, as Python computes it
+    m, flagged = _round_scaled(raw, 12)
+    values = np.copysign(m / 1e12, raw)     # one rounding of m / 10^12, as round makes
+    values[flagged] = [round(v, 12) for v in raw[flagged].tolist()]
+    values = values.tolist()
     return tuple(values if values[-1] <= round(hi, 12) else values[:-1])  # the count may round up
 
 

@@ -9,6 +9,7 @@ import rotorkick.cli as cli
 import rotorkick.core
 import rotorkick.sweep
 from rotorkick.cli import main, parse_config
+from rotorkick.core import _J_MAX_LIMIT
 from rotorkick.serialize import read_records_csv
 from rotorkick.sweep import PointRecord, SweepResult
 from rotorkick.validate import CheckResult
@@ -200,9 +201,21 @@ class TestExitCodes:
         def no_memory(j_max):
             raise MemoryError(f"cannot hold the bands of j_max={j_max}")
         monkeypatch.setattr(rotorkick.core, "_bands", no_memory)
-        assert main([*argv, "--j-max", "100000000", "--out", str(tmp_path)]) == 1
-        assert "error: out of memory: cannot hold the bands of j_max=100000000" in (
+        assert main([*argv, "--j-max", str(_J_MAX_LIMIT), "--out", str(tmp_path)]) == 1
+        assert f"error: out of memory: cannot hold the bands of j_max={_J_MAX_LIMIT}" in (
             capsys.readouterr().err)
+
+    def test_j_max_above_the_limit_is_1_on_both_commands(self, tmp_path, monkeypatch, capsys):
+        # refused while the arguments are parsed: no band is built, no file written
+        def no_bands(j_max):
+            raise AssertionError(f"_bands({j_max}) was called")
+        monkeypatch.setattr(rotorkick.core, "_bands", no_bands)
+        errors = []
+        for argv in (["propagate", "--P", "1.5", "--sigma", "3"], SWEEP):
+            assert main([*argv, "--j-max", "100000000", "--out", str(tmp_path / "out")]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: --j-max must be <= {_J_MAX_LIMIT}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_j_max_is_1_on_both_commands(self, tmp_path, capsys):
         errors = []

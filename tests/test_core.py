@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rotorkick import (
     OperatorMatrix,
     PulseSpec,
     RotorBasis,
+    SweepGrid,
     Wavepacket,
     build_cos2_matrix,
     build_cos_matrix,
@@ -21,7 +23,8 @@ from rotorkick import (
     build_j2_matrix,
     dimensionless_from_physical,
 )
-from rotorkick.core import _bands, _hamiltonians, _sym
+import rotorkick.core
+from rotorkick.core import _J_MAX_LIMIT, _bands, _hamiltonians, _sym
 
 
 def legendre_matrix_element(j1, j2, power):
@@ -295,7 +298,17 @@ class TestRotorBasis:
         with pytest.raises(ValueError, match=r"^j_max must be an integer >= 1, got "):
             RotorBasis(j_max)
 
-    @pytest.mark.parametrize("j_max", [1, 9, np.int64(4), np.int32(12)])
+    @pytest.mark.parametrize("j_max", [_J_MAX_LIMIT + 1, 10**8, np.int64(10**18)])
+    def test_j_max_above_the_limit_refused_before_any_band(self, j_max, monkeypatch):
+        def no_bands(j_max):
+            raise AssertionError(f"_bands({j_max}) was called")
+        monkeypatch.setattr(rotorkick.core, "_bands", no_bands)
+        for make in (RotorBasis, lambda j: SweepGrid(p_values=(1.0,), sigma_values=(1.0,), j_max=j)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"j_max must be an integer in [1, {_J_MAX_LIMIT}], got {j_max!r}")):
+                make(j_max)
+
+    @pytest.mark.parametrize("j_max", [1, 9, np.int64(4), np.int32(12), _J_MAX_LIMIT])
     def test_j_max_takes_python_and_numpy_integers(self, j_max):
         assert RotorBasis(j_max).dim == int(j_max) + 1
 

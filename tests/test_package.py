@@ -60,21 +60,22 @@ def test_import_starts_no_worker_pool(tmp_path):
 
 
 def test_import_loads_no_writer(tmp_path):
-    # a library user who writes no file pays for neither the writer module
-    # nor its cell kernel's tables, which are built on the first write
+    # a library user who writes no file pays for neither the writer and figure
+    # modules nor their kernels' tables, which are built on the first write
     src = str(Path(rotorkick.__file__).resolve().parent.parent)
     code = textwrap.dedent(f"""
         import sys
         sys.path.insert(0, {src!r})
         import rotorkick
         assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
-        print("rotorkick.serialize" in sys.modules)
-        import rotorkick.serialize
-        print(rotorkick.serialize._tables.cache_info().currsize)
+        print("rotorkick.serialize" in sys.modules, "rotorkick.svgplot" in sys.modules)
+        import rotorkick.serialize, rotorkick.svgplot
+        print(rotorkick.serialize._tables.cache_info().currsize,
+              rotorkick.svgplot._hex_pairs.cache_info().currsize)
     """)
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "0"]
+    assert out.split() == ["False", "False", "0", "0"]
 
 
 def test_one_function_calls_eigh():

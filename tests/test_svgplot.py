@@ -12,9 +12,10 @@ from scipy.integrate import simpson
 
 from rotorkick import PulseSpec, RotorBasis, SweepGrid, Wavepacket, delta_kick, run_sweep
 from rotorkick import svgplot
+from rotorkick.cli import main
 from rotorkick.svgplot import (H, LEGEND_ROWS, MARGIN, PALETTE, W, MissingSeriesError, PlotKind,
                                _Canvas, _ticks, angular_density, emit_plot)
-from rotorkick.sweep import PointRecord, SweepResult
+from rotorkick.sweep import PointRecord, SweepResult, _round_scaled
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -346,6 +347,28 @@ class TestEqualityGate:
         assert svgplot._heatmap_figure(result) == reference_heatmap_figure(result)
 
 
+class TestCliFigures:
+    """The figures the CLI writes are the point-by-point references, byte for byte."""
+
+    def test_fig2(self, fig2_result, tmp_path):
+        assert main(["sweep", "--P", "1.5", "--sigma-min", "0.005", "--sigma-max", "10",
+                     "--sigma-step", "0.005", "--formats", "svg", "--out", str(tmp_path)]) == 0
+        want = {kind: reference_line_figure(fig2_result, *series)
+                for kind, series in zip(("energy_vs_sigma", "orientation", "alignment"),
+                                        LINE_SERIES)}
+        want["coeffs_vs_sigma"] = reference_coeffs_figure(fig2_result)
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == sorted(f"{k}.svg" for k in want)
+        for kind, text in want.items():
+            assert (tmp_path / f"{kind}.svg").read_bytes() == text.encode(), kind
+
+    def test_block_heatmap(self, block_result, tmp_path):
+        assert main(["sweep", "--P-min", "4.1", "--P-max", "7.25", "--P-step", "0.05",
+                     "--sigma-min", "5.7", "--sigma-max", "8.85", "--sigma-step", "0.05",
+                     "--formats", "svg", "--out", str(tmp_path)]) == 0
+        assert ((tmp_path / "surface_heatmap.svg").read_bytes()
+                == reference_heatmap_figure(block_result).encode())
+
+
 def multi_p_result(n_p):
     """A hand-built result of n_p P values over three sigma values."""
     grid = SweepGrid(p_values=tuple(0.25 * np.arange(1, n_p + 1)), sigma_values=(1.0, 2.0, 3.0))
@@ -437,3 +460,61 @@ def test_ticks_end_when_the_step_is_below_float_spacing():
     pad = 0.05 * (hi - lo)
     ticks = _ticks(lo - pad, hi + pad)
     assert 1 <= len(ticks) <= 8
+
+
+def _bits(n):
+    """The float64 whose raw bit pattern is the integer n."""
+    return float(np.frombuffer(n.to_bytes(8, "little"), np.float64)[0])
+
+
+def _near_ties(k):
+    """(k + 1/2) / 100 and its two neighbours: at or next to x.xx5."""
+    x = (k + 0.5) / 100
+    return [x, float(np.nextafter(x, -math.inf)), float(np.nextafter(x, math.inf))]
+
+
+def _fixed2_matches_reference(values):
+    xs = np.asarray(values, dtype=float)
+    ys = xs[::-1].copy()
+    assert svgplot._points(xs, ys) == " ".join("%.2f,%.2f" % xy for xy in zip(xs.tolist(),
+                                                                            ys.tolist()))
+
+
+class TestFixed2Kernel:
+    """The numpy %.2f kernel of the polylines and the heatmap gives the bytes "%.2f" gives."""
+
+    @given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(_bits)
+                    | st.integers(-10**9, 10**9).map(_near_ties).flatmap(st.sampled_from),
+                    min_size=1, max_size=24))
+    def test_any_floats_give_the_reference_bytes(self, values):
+        _fixed2_matches_reference(values)
+
+    def test_seeded_values(self):
+        rng = np.random.default_rng(20)
+        ties = (rng.integers(-10**7, 10**7, 20_000) + 0.5) / 100
+        _fixed2_matches_reference(np.concatenate([
+            rng.uniform(0, 640, 20_000), rng.uniform(-1, 1, 20_000),
+            10 ** rng.uniform(-4, 20, 20_000) * rng.choice([-1, 1], 20_000),
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+            ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)]))
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,   # zeros and subnormals
+        math.nan, -math.nan, math.inf, -math.inf,
+        0.125, 0.375, -0.125, 2.675, 1.005, 0.005, 9.995, 99.995,  # exact and near ties
+        -0.001, -0.004999, 0.994999, 999.999,                     # a carry into the units
+        2**50 / 100, np.nextafter(2**50 / 100, 0), 2**53 / 100, 2**53 / 100 + 0.25,
+        1e17, -1e22, 1.7976931348623157e308,                      # at 2^53/100 and beyond
+    ])
+    def test_named_values(self, x):
+        _fixed2_matches_reference([x, 1.0])
+        _fixed2_matches_reference([x])
+
+    def test_ties_and_large_values_fall_back_to_python(self):
+        m, flagged = _round_scaled(np.array([0.125, 2.675, 1.005, 2**50 / 100, math.nan,
+                                             math.inf, 1.5, 2**50 / 100 - 1]), 2)
+        assert flagged.tolist() == [True] * 6 + [False] * 2
+        assert m.tolist() == [0.0] * 6 + [150.0, 2**50 - 100]
+
+    def test_empty(self):
+        assert svgplot._points(np.array([]), np.array([])) == ""

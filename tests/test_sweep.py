@@ -39,7 +39,7 @@ from rotorkick import (
     run_sweep,
     zero_loci,
 )
-from rotorkick.sweep import axis
+from rotorkick.sweep import _round_scaled, axis
 
 
 class TestSweepGrid:
@@ -158,7 +158,7 @@ class TestAxis:
         # 1e-320 overflows the point count; 1e-9 would build a 10^9-element list
         def no_range(*args):
             raise AssertionError("axis started building its values")
-        monkeypatch.setattr(rotorkick.sweep, "range", no_range, raising=False)
+        monkeypatch.setattr(np, "arange", no_range)
         with pytest.raises(ValueError, match=f"^sigma_step {step} gives {count} points from "
                                              "sigma_min to sigma_max, more than 1000000$"):
             axis("sigma", 1.0, 2.0, step)
@@ -167,6 +167,40 @@ class TestAxis:
         assert len(axis("sigma", 0.0, 999_999.0, 1.0)) == 1_000_000
         with pytest.raises(ValueError, match="more than 1000000"):
             axis("sigma", 0.0, 1_000_000.0, 1.0)
+
+
+def _reference_axis(lo, hi, step):
+    """axis' values as Python rounds them, one point at a time."""
+    values = [round(lo + i * step, 12) for i in range(round((hi - lo) / step) + 1)]
+    return tuple(values if values[-1] <= round(hi, 12) else values[:-1])
+
+
+def _bitwise(values):
+    return [v.hex() for v in values]
+
+
+class TestAxisKernel:
+    """The vectorised axis gives round(lo + i * step, 12), bit for bit, signed zeros included."""
+
+    @given(st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 0.005, -3.5e-12]),
+           st.floats(1e-9, 100.0) | st.sampled_from([0.005, 0.05, 0.1, 1e-12, 2.5e-13]),
+           st.integers(0, 400))
+    def test_random_axes(self, lo, step, n):
+        hi = lo + n * step
+        assert _bitwise(axis("x", lo, hi, step)) == _bitwise(_reference_axis(lo, hi, step))
+
+    @pytest.mark.parametrize("lo, hi, step, flagged", [
+        (0.005, 10.0, 0.005, 0),                # fig2's sigma axis
+        (-0.3, 0.3, 0.1, 0),                    # negative values and a zero
+        (-1e-13, 0.0, 1e-14, 0),                # every value rounds to a zero, -0.0 or 0.0
+        (5e-13, 1.05e-11, 1e-12, 11),           # x.5e-12 near-ties, left to round()
+        (1125.0, 1127.0, 0.25, 5),              # past 2^50 / 10^12 from 1126 on, left to round()
+        (1e300, 1e300, 1.0, 1),
+    ])
+    def test_named_axes_and_the_fallback(self, lo, hi, step, flagged):
+        raw = lo + np.arange(round((hi - lo) / step) + 1) * step
+        assert _round_scaled(raw, 12)[1].sum() == flagged
+        assert _bitwise(axis("x", lo, hi, step)) == _bitwise(_reference_axis(lo, hi, step))
 
 
 def _old_from_ranges_sigmas(lo, hi, step):
