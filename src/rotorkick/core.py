@@ -26,7 +26,7 @@ _J_MAX_CAP = 400
 # The largest basis that a caller may fix: _bands squares a dense (j_max + 2)^2
 # matrix, which at this limit takes about 0.45 s and 100 MiB.
 _J_MAX_LIMIT = 2000
-# The most points a sweep axis may hold (fig2's sigma axis has 2000).
+# The most points a sweep axis, and a whole grid, may hold (fig2's sigma axis has 2000).
 _AXIS_POINTS_CAP = 1_000_000
 # The most zero-locus branches one zero_loci call may scan.
 _N_MAX_CAP = 100_000

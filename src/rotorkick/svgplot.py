@@ -11,7 +11,6 @@ import functools
 import math
 from enum import Enum
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -37,6 +36,12 @@ class PlotKind(Enum):
 
 class MissingSeriesError(ValueError):
     """The result does not contain the series needed for the requested plot."""
+
+
+def _escape(text: str) -> str:
+    """text with &, > and < as XML entities, as xml.sax.saxutils.escape gives it;
+    kept local because that module's import loads the urllib, http and ssl stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -110,7 +115,7 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
 class _Canvas:
     def __init__(self, xlim, ylim, title, xlabel, ylabel):
         self.xlim, self.ylim = xlim, ylim
-        title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
+        title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
             f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="12">',
@@ -161,7 +166,7 @@ class _Canvas:
         if color:
             self.parts.append(f'<line x1="{W - MARGIN - 90}" y1="{y}" x2="{W - MARGIN - 70}" '
                               f'y2="{y}" stroke="{color}" stroke-width="2"/>')
-        self.parts.append(f'<text x="{W - MARGIN - 64}" y="{y + 4}">{escape(label)}</text>')
+        self.parts.append(f'<text x="{W - MARGIN - 64}" y="{y + 4}">{_escape(label)}</text>')
 
     def svg(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -258,7 +263,7 @@ def _polar_figure(psi: Wavepacket, title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
+        f'<text x="{W / 2}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>',
         f'<line x1="{cx}" y1="{MARGIN}" x2="{cx}" y2="{H - MARGIN}" '
         'stroke="#999" stroke-dasharray="4 3"/>',
     ]

@@ -119,6 +119,10 @@ class SweepGrid:
                 raise ValueError(f"{name} values must be a non-empty 1-D sequence")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} values must be strictly increasing")
+        n_p, n_sigma = len(self.p_values), len(self.sigma_values)
+        if n_p * n_sigma > _AXIS_POINTS_CAP:
+            raise ValueError(f"grid of {n_p} P x {n_sigma} sigma values has {n_p * n_sigma} "
+                             f"points, more than {_AXIS_POINTS_CAP}")
         _rungs(self.j0, self.j_max, self.leak_tol)
 
     @classmethod

@@ -186,6 +186,18 @@ class TestExitCodes:
         assert f"error: {field} 1e-320 gives inf points" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_grid_is_1(self, tmp_path, monkeypatch, capsys):
+        # 1001 P x 1000 sigma values: each axis fits its cap, the grid does not
+        def no_evaluate(*args):
+            raise AssertionError("the sweep started evaluating points")
+        monkeypatch.setattr(rotorkick.sweep, "_evaluate", no_evaluate)
+        argv = ["sweep", "--P-min", "0", "--P-max", "1000", "--P-step", "1", "--sigma-min", "1",
+                "--sigma-max", "1000", "--sigma-step", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: grid of 1001 P x 1000 sigma values has "
+                                           "1001000 points, more than 1000000\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("epoch", ["abc", "1e3", "1.5"])
     def test_malformed_source_date_epoch_is_1(self, epoch, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)

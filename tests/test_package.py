@@ -29,19 +29,39 @@ def test_all_holds_the_quick_start_names():
 def test_cli_imports_neither_numba_nor_scipy(tmp_path):
     # -I: no PYTHONPATH, user site or working directory on the child's path,
     # so only this checkout's src and the interpreter's own packages are seen;
-    # the import builds no argument parser either, which comes on first use
+    # the import builds no argument parser either, which comes on first use.
+    # -I also drops PYTHONDONTWRITEBYTECODE, so -B keeps the children from
+    # writing bytecode into src
     src = str(Path(rotorkick.__file__).resolve().parent.parent)
     code = textwrap.dedent(f"""
         import sys
+        assert sys.flags.dont_write_bytecode
         sys.path.insert(0, {src!r})
         import rotorkick.cli
         assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
         print(sorted(m for m in ("numba", "scipy") if m in sys.modules),
               rotorkick.cli._build_parser.cache_info().currsize)
     """)
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[] 0"
+
+
+def test_cli_and_figures_load_no_network_stack(tmp_path):
+    # the SVG labels are escaped locally: xml.sax.saxutils would bring in
+    # urllib.request and with it http.client, ssl, socket, email and hashlib
+    src = str(Path(rotorkick.__file__).resolve().parent.parent)
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        import rotorkick.cli, rotorkick.svgplot
+        assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
+        print(sorted(m for m in ("xml.sax", "urllib.request", "http.client", "ssl", "socket",
+                                 "email", "hashlib") if m in sys.modules))
+    """)
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True, cwd=tmp_path,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_import_starts_no_worker_pool(tmp_path):
@@ -54,7 +74,7 @@ def test_import_starts_no_worker_pool(tmp_path):
         assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
         print("concurrent.futures" in sys.modules, threading.active_count())
     """)
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False 1"
 
@@ -73,7 +93,7 @@ def test_import_loads_no_writer(tmp_path):
         print(rotorkick.serialize._tables.cache_info().currsize,
               rotorkick.svgplot._hex_pairs.cache_info().currsize)
     """)
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False", "0", "0"]
 

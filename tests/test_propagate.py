@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
+import rotorkick.core
 import rotorkick.propagate
 from rotorkick import (
     ConvergenceError,
@@ -20,6 +22,7 @@ from rotorkick import (
     propagate_ode,
     propagate_spectral,
 )
+from rotorkick.core import _J_MAX_LIMIT
 from rotorkick.propagate import _leak, _point, _propagate_points, _state_leak
 
 
@@ -291,6 +294,19 @@ class TestConvergeBasis:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             converge_basis(PulseSpec(1.0, 1.0), 0, leak_tol=2.0)
+
+    @pytest.mark.parametrize("cap", [_J_MAX_LIMIT + 1, 2.5, True])
+    def test_cap_outside_the_limit_refused_before_any_band(self, cap, monkeypatch):
+        def no_bands(j_max):
+            raise AssertionError(f"_bands({j_max}) was called")
+        monkeypatch.setattr(rotorkick.core, "_bands", no_bands)
+        with pytest.raises(ValueError, match=re.escape(
+                f"j_max_cap must be an integer in [1, {_J_MAX_LIMIT}], got {cap!r}")):
+            # from J0 = 0 the first rung, j_max 4, would build its bands
+            converge_basis(PulseSpec(500.0, 0.001), 0, leak_tol=1e-14, j_max_cap=cap)
+
+    def test_cap_at_the_limit_accepted(self):
+        assert converge_basis(PulseSpec(0.0, 1.0), 0, j_max_cap=_J_MAX_LIMIT).j_max == 4
 
 
 def fresh_c1(pulse, j0, j_max):

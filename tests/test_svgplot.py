@@ -462,6 +462,24 @@ def test_ticks_end_when_the_step_is_below_float_spacing():
     assert 1 <= len(ticks) <= 8
 
 
+class TestEscape:
+    """The labels' local escape gives the text xml.sax.saxutils.escape gives."""
+
+    @given(st.text() | st.lists(st.sampled_from("&<>;\"'a")).map("".join))
+    def test_any_text(self, text):
+        assert svgplot._escape(text) == escape(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("<cos theta>", "&lt;cos theta&gt;"),
+        ("&amp;<>&", "&amp;amp;&lt;&gt;&amp;"),
+        ("P = 1.5 \"quoted\" 'single'", "P = 1.5 \"quoted\" 'single'"),
+        ("σ J² − P cos θ, ⟨cos² θ⟩", "σ J² − P cos θ, ⟨cos² θ⟩"),
+        ("", ""),
+    ])
+    def test_named_labels(self, text, want):
+        assert svgplot._escape(text) == escape(text) == want
+
+
 def _bits(n):
     """The float64 whose raw bit pattern is the integer n."""
     return float(np.frombuffer(n.to_bytes(8, "little"), np.float64)[0])

@@ -124,6 +124,21 @@ class TestSweepGrid:
         grid = SweepGrid(p_values=(1.0,), sigma_values=(1.0, 2.0), j0=j0)
         assert run_sweep(grid).table[:, 2].tolist() == [int(j0)] * 2
 
+    def test_total_points_above_the_cap_refused_before_any_point(self, monkeypatch):
+        # each axis is inside the axis cap; their product is not
+        def no_evaluate(*args):
+            raise AssertionError("the sweep started evaluating points")
+        monkeypatch.setattr(rotorkick.sweep, "_evaluate", no_evaluate)
+        with pytest.raises(ValueError, match=r"^grid of 1001 P x 1000 sigma values has 1001000 "
+                                             r"points, more than 1000000$"):
+            run_sweep(SweepGrid(p_values=tuple(range(1001)), sigma_values=tuple(range(1, 1001))))
+
+    def test_total_points_at_the_cap_kept(self):
+        grid = SweepGrid(p_values=tuple(range(1000)), sigma_values=tuple(range(1, 1001)))
+        assert len(grid.p_values) * len(grid.sigma_values) == 1_000_000
+        one_p = SweepGrid(p_values=(1.5,), sigma_values=tuple(range(1, 1_000_001)))
+        assert len(one_p.sigma_values) == 1_000_000
+
 
 class TestAxis:
     def test_values_are_rounded_decimals(self):
