@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
                        help="comma-separated subset of csv,json,svg")
 
     def basis(p):
-        p.add_argument("--j0", type=int, default=0)
+        arg(p, "--j0", (">= 0", lambda n: n >= 0), conv=int, default=0)
         arg(p, "--j-max", (">= 0", lambda n: n >= 0),
             (f"<= {_J_MAX_LIMIT}", lambda n: n <= _J_MAX_LIMIT), conv=int, default=0,
             help="fixed basis size; 0 = auto-converge")
@@ -158,7 +158,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="run the acceptance suite")
     p.add_argument("--quick", action="store_true", help="skip the surface scan")
-    p.add_argument("--seed", type=int, default=12345)
+    arg(p, "--seed", (">= 0", lambda n: n >= 0), conv=int, default=12345)
     common(p)
     return parser
 

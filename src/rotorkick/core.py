@@ -43,6 +43,12 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _check_fraction(name: str, value: float) -> None:
+    """ValueError unless value is in (0, 1); NaN is not."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
 def _check_j0(j0, j_max: int | None = None) -> None:
     """ValueError unless J0 is a Python or numpy integer, not a bool, and, given
     j_max, a level of the basis {|J, 0> : J <= j_max}."""

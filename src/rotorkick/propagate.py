@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_J_MAX_CAP, _J_MAX_LIMIT, PulseSpec, RotorBasis, Wavepacket, _check_integer,
-                   _check_j0, _check_strength, _hamiltonians, build_hamiltonian)
+from .core import (_J_MAX_CAP, _J_MAX_LIMIT, PulseSpec, RotorBasis, Wavepacket, _check_fraction,
+                   _check_integer, _check_j0, _check_strength, _hamiltonians, build_hamiltonian)
 
 # Most matrix entries in flight at once: over all the stacks that one call of
 # _propagate_points has being solved together, one stack inline or one a worker.
@@ -146,10 +146,13 @@ def _point(p: float, sigma: float, j0: int, j_max: int) -> np.ndarray:
 
 def _ladder(j0: int, leak_tol: float, j_max_cap: int = _J_MAX_CAP) -> range:
     """The basis sizes that auto mode tries in turn: J0 + 4, J0 + 8, ... <= j_max_cap,
-    a cap within the j_max limit, so that no rung builds a basis RotorBasis would refuse."""
-    if not 0 < leak_tol < 1:
-        raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
+    a cap within the j_max limit, so that no rung builds a basis RotorBasis would refuse.
+    A ValueError names J0 and the cap when the first rung is already above it."""
+    _check_fraction("leak_tol", leak_tol)
     _check_integer("j_max_cap", j_max_cap, 1, _J_MAX_LIMIT)
+    if j0 + 4 > j_max_cap:
+        raise ValueError(f"J0={j0} leaves auto mode no basis to try: its first, "
+                         f"j_max={j0 + 4}, is above the cap j_max_cap={j_max_cap}")
     return range(j0 + 4, j_max_cap + 1, 4)
 
 

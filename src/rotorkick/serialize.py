@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import os
 import time
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import _CELL, g17
 from .sweep import COLUMNS, SweepResult
 
 FLOAT_FMT = "%.17g"
@@ -31,135 +31,6 @@ def timestamp() -> str:
     except (ValueError, OverflowError, OSError):
         raise ValueError(f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {epoch!r}")
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
-
-
-# The cell kernel: FLOAT_FMT for a whole array, byte for byte.  A finite x != 0
-# prints as the 17 digits of m = round(|x| 10^(16-k)), 10^16 <= m < 10^17, k
-# its decimal exponent, with trailing zeros stripped: in fixed notation for
-# -4 <= k < 17, as d.ddd e±kk otherwise.  10^(16-k) is held as a double-double
-# hi + lo, and |x| hi as Dekker's exact two-product (Numer. Math. 18, 1971),
-# so the scaled value ph + pl is off by less than 2^-47 at 10^17.  Rounding it
-# needs only the side of 1/2 its fraction lies on: a cell whose fraction is
-# within _TIE of 1/2, exact ties included, goes to "%" itself, as do nan, ±inf
-# and |x| outside [1e-99, 1e100), whose exponents need three digits.
-_CELL = 28              # bytes of a rendered cell, NUL-padded: rows of _render's out
-_EXP_LIMIT = 99
-_TIE = 2.0 ** -40
-_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitter
-
-
-@functools.cache
-def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """hi, lo and hi's Dekker halves of 10^(16-k) at index k + _EXP_LIMIT + 1, for
-    |k| <= _EXP_LIMIT + 1; and the four ASCII digits of each i < 10^4 as a uint32."""
-    hi, lo = [], []
-    for k in range(-_EXP_LIMIT - 1, _EXP_LIMIT + 2):
-        if k <= 16:
-            p = 10 ** (16 - k)
-            hi.append(float(p))
-            lo.append(float(p - int(hi[-1])))
-        else:           # 1/p: int / int is correctly rounded, and so is the remainder's
-            p = 10 ** (k - 16)
-            hi.append(1 / p)
-            m, d = hi[-1].as_integer_ratio()
-            lo.append((d - m * p) / (d * p))
-    hi = np.array(hi)
-    c = _SPLIT * hi
-    head = c - (c - hi)
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-    return (hi, np.array(lo), head, hi - head), digits.copy().view(np.uint32).ravel()
-
-
-def _scaled(a, a_head, a_tail, k, scale):
-    """a 10^(16-k) as the unevaluated sum ph + pl; a = a_head + a_tail split by _SPLIT."""
-    i = k + _EXP_LIMIT + 1
-    hi, lo, head, tail = (column[i] for column in scale)
-    ph = a * hi
-    return ph, ((a_head * head - ph) + a_head * tail + a_tail * head) + a_tail * tail + a * lo
-
-
-def _render(x: np.ndarray, out: np.ndarray) -> None:
-    """Write FLOAT_FMT % x[i] into out[:, i], NUL-padded, for the float64 vector x.
-
-    out is a (_CELL, len(x)) uint8 array.  A cell's rows: 0 the sign, 1-5 the
-    "0.000" of a fixed value below 1, 6-23 the digits with the point after the
-    first q of them, 24-27 "e±kk".
-    """
-    scale, digit_lut = _tables()
-    n = len(x)
-    a = np.abs(x)
-    regular = (a >= 10.0 ** -_EXP_LIMIT) & (a < 10.0 ** (_EXP_LIMIT + 1))
-    a[~regular] = 1.0
-    k = np.floor(np.log10(a)).astype(np.int64)
-    c = _SPLIT * a
-    a_head = c - (c - a)
-    a_tail = a - a_head
-    ph, pl = _scaled(a, a_head, a_tail, k, scale)
-    # log10 may be one off next to a power of ten: correct k where ph + pl
-    # falls outside [10^16, 10^17).  ph is exact here, an integer above 2^53.
-    low = (ph < 1e16) | ((ph == 1e16) & (pl < 0))
-    high = (ph > 1e17) | ((ph == 1e17) & (pl >= 0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        k[fix] += high[fix].astype(np.int64) - low[fix]
-        ph[fix], pl[fix] = _scaled(a[fix], a_head[fix], a_tail[fix], k[fix], scale)
-    whole = np.floor(pl)
-    frac = pl - whole
-    m = ph.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    carry = m == 10 ** 17
-    m -= carry * (9 * 10 ** 16)
-    k += carry
-    m *= regular            # 0, and the fallback cells, print as "0" below
-    k *= regular
-    fallback = regular & ((np.abs(frac - 0.5) <= _TIE) | (k > _EXP_LIMIT)
-                          | (m < 10 ** 16) | (m >= 10 ** 17))
-    fallback |= ~regular & (x != 0)
-
-    # the 17 digits of m: the first, then four groups of four from the table
-    top = m // 10 ** 16
-    rest = m - top * 10 ** 16
-    upper = rest // 10 ** 8
-    lower = rest - upper * 10 ** 8
-    groups = np.empty((4, n), np.int64)
-    np.floor_divide(upper, 10 ** 4, out=groups[0])
-    np.subtract(upper, groups[0] * 10 ** 4, out=groups[1])
-    np.floor_divide(lower, 10 ** 4, out=groups[2])
-    np.subtract(lower, groups[2] * 10 ** 4, out=groups[3])
-    digits = np.empty((17, n), np.uint8)
-    digits[0] = top + ord("0")
-    digits[1:].reshape(4, 4, n)[...] = (digit_lut[groups].view(np.uint8)
-                                        .reshape(4, n, 4).transpose(0, 2, 1))
-    j = np.arange(18, dtype=np.uint8)[:, None]
-    nd = np.maximum((j[1:] * (digits != ord("0"))).max(axis=0), 1)    # digits to print
-
-    fixed = (k >= -4) & (k < 17)
-    whole_part = fixed & (k >= 0)
-    below_one = fixed & (k < 0)
-    q = ((k + 1) * whole_part + ~whole_part).astype(np.uint8)   # digits before the point
-    q[below_one] = nd[below_one]
-    shown = np.maximum(nd, q)   # 100 prints 3 digits, though nd is 1
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    out[1] = below_one * np.uint8(ord("0"))
-    out[2] = below_one * np.uint8(ord("."))
-    for row, last in ((3, -2), (4, -3), (5, -4)):
-        out[row] = (below_one & (k <= last)) * np.uint8(ord("0"))
-    body = out[6:24]
-    np.multiply(digits, j[:17] < q, out=body[:17])
-    body[17] = 0
-    body[1:] += digits * ((j[:17] >= q) & (j[:17] < shown))
-    body += (j == q) * ((nd > q) * np.uint8(ord(".")))
-    sci = ~fixed
-    tens = np.abs(k).astype(np.uint8)
-    ones = tens % 10
-    tens //= 10
-    out[24] = sci * np.uint8(ord("e"))
-    out[25] = sci * (np.uint8(ord("+")) + (k < 0) * np.uint8(ord("-") - ord("+")))
-    out[26] = sci * (tens + np.uint8(ord("0")))
-    out[27] = sci * (ones + np.uint8(ord("0")))
-    if fallback.any():
-        cells = np.flatnonzero(fallback)
-        text = b"".join((b"%.17g" % v).ljust(_CELL, b"\0") for v in x[cells].tolist())
-        out[:, cells] = np.frombuffer(text, np.uint8).reshape(-1, _CELL).T
 
 
 # records.json lays each row out as json.dump(indent=1) does a list of strings
@@ -195,7 +66,7 @@ def _row_blocks(table: np.ndarray, as_csv: bool, as_json: bool):
     for start in range(0, rows, block):
         x = table[start:start + block].ravel()
         r = len(x) // cols
-        _render(x, cells[:, :len(x)])
+        g17(x, cells[:, :len(x)])
         csv_buf[:r, :, :_CELL] = cells[:, :len(x)].reshape(_CELL, r, cols).transpose(1, 2, 0)
         csv_text = csv_buf[:r].tobytes().translate(None, b"\0") if as_csv else None
         json_text = None

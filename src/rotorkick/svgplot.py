@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import Wavepacket
-from .sweep import COLUMNS, SweepResult, _round_scaled
+from ._text import fixed2
+from .sweep import COLUMNS, SweepResult
 
 W, H = 640, 440
 MARGIN = 56
@@ -61,32 +62,6 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return out
 
 
-def _fixed2(x: np.ndarray) -> np.ndarray:
-    """"%.2f" % x[i] for the float64 vector x, as row i of a uint8 array, NUL-padded.
-
-    A row holds the sign, the digits before the point, the point and two
-    digits; a cell that _round_scaled flags is left to "%.2f" itself.  The
-    rows are columns of a character-major array, so each step is one long loop.
-    """
-    m, flagged = _round_scaled(x, 2)
-    n_int = len("%d" % (m.max() // 100)) if m.size else 1   # digits before the point
-    lead = np.floor(m / 10.0 ** np.arange(n_int + 1, -1, -1)[:, None])  # m's leading digits
-    digits = lead + ord("0")            # the last digit of each: lead - 10 * its upper neighbour
-    digits[1:] -= 10 * lead[:-1]
-    digits = digits.astype(np.uint8)
-    digits[:n_int - 1] *= lead[:n_int - 1] > 0      # no leading zeros
-    fallback = [b"%.2f" % v for v in x[flagged].tolist()]
-    out = np.zeros((max([n_int + 4] + [len(t) for t in fallback]), x.size), np.uint8)
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    out[1:n_int + 1] = digits[:n_int]
-    out[n_int + 1] = ord(".")
-    out[n_int + 2:n_int + 4] = digits[n_int:]
-    if fallback:
-        out[:, flagged] = np.frombuffer(b"".join(t.ljust(len(out), b"\0") for t in fallback),
-                                        np.uint8).reshape(len(fallback), -1).T
-    return out.T
-
-
 @functools.cache
 def _hex_pairs() -> np.ndarray:
     """"%02x" % i as row i of a (256, 2) uint8 array."""
@@ -108,7 +83,7 @@ def _text(shape: tuple[int, ...], *parts) -> str:
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """SVG points text "x,y x,y ..." of two equal-length arrays, at 2 decimals."""
-    cells = _fixed2(np.concatenate((xs, ys)))
+    cells = fixed2(np.concatenate((xs, ys)))
     return _text((len(xs),), cells[:len(xs)], b",", cells[len(xs):], b" ")[:-1]
 
 
@@ -235,8 +210,8 @@ def _heatmap_figure(result: SweepResult) -> str:
            ).astype(np.uint8)           # truncation, as int() of each channel
     rgb[~ok] = tuple(FAILED_FILL.to_bytes(3, "big"))
     # x per column and y per row, each rendered once; the fills from the hex table
-    corners = _fixed2(np.concatenate((MARGIN + np.arange(sigmas.size) * dw,
-                                      (H - MARGIN - 16) - np.arange(1, ps.size + 1) * dh)))
+    corners = fixed2(np.concatenate((MARGIN + np.arange(sigmas.size) * dw,
+                                     (H - MARGIN - 16) - np.arange(1, ps.size + 1) * dh)))
     cv.parts.append(_text(ok.shape, b'<rect x="', corners[:sigmas.size], b'" y="',
                           corners[sigmas.size:, None],
                           f'" width="{dw + 0.5:.2f}" height="{dh + 0.5:.2f}" fill="#'.encode(),

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import round12
 from .analytic import zero_loci
-from .core import _AXIS_POINTS_CAP, _N_MAX_CAP, RotorBasis, _bands, _check_integer, _check_j0, _j2
+from .core import (_AXIS_POINTS_CAP, _N_MAX_CAP, RotorBasis, _bands, _check_fraction,
+                   _check_integer, _check_j0, _j2)
 from .observables import _expectations
 from .propagate import _ladder, _leak, _leak_error, _propagate_points
 
@@ -29,47 +31,6 @@ def _check_values(name: str, values, positive: bool) -> np.ndarray:
     if not np.all(np.isfinite(arr) & ((arr > 0) if positive else (arr >= 0))):
         raise ValueError(f"{name} values must be finite and {'> 0' if positive else '>= 0'}")
     return arr
-
-
-# Exact decimal rounding of whole arrays: m = round-half-even(|x| 10^d), the
-# integer whose digits round(x, d) and "%.{d}f" % x are made of.  10^d is an
-# exact double for d <= 22, and Dekker's two-product (Numer. Math. 18, 1971)
-# gives |x| 10^d exactly as ph + pl, so the fraction computed from them is off
-# by less than 2^-52.  Rounding needs only the side of 1/2 it lies on: a cell
-# whose fraction is within _HALF_TIE of 1/2, exact ties included, is flagged,
-# as are nan, ±inf and |x| 10^d >= 2^50; the caller rounds those with Python.
-# Below 2^50, m / 10^j rounds to within its distance from the next integer, so
-# floor(m / 10^j) is m's exact leading digits.
-_HALF_TIE = 2.0 ** -30
-_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitter
-
-
-def _halves(a):
-    """a as head + tail, each of at most 26 significant bits (Dekker's split)."""
-    c = _SPLIT * a
-    head = c - (c - a)
-    return head, a - head
-
-
-def _round_scaled(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, flagged) for the float64 vector x: m = round-half-even(|x| 10^d), an exact
-    integer in a float64 array, where flagged is False; 0 on the cells Python must round."""
-    p = float(10 ** d)
-    a = np.abs(x)
-    regular = a < 2.0 ** 50 / p         # False for nan
-    a[~regular] = 0.0
-    ph = a * p
-    a_head, a_tail = _halves(a)
-    p_head, p_tail = _halves(p)
-    pl = ((a_head * p_head - ph) + a_head * p_tail + a_tail * p_head) + a_tail * p_tail
-    whole = np.floor(ph)
-    frac = (ph - whole) + pl            # in [-1/2, 3/2]: pl may carry a unit either way
-    carry = np.floor(frac)
-    frac -= carry
-    flagged = ~regular | (np.abs(frac - 0.5) <= _HALF_TIE)
-    m = whole + carry + (frac > 0.5)
-    m[flagged] = 0.0
-    return m, flagged
 
 
 def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -88,11 +49,7 @@ def axis(name: str, lo: float, hi: float, step: float) -> tuple[float, ...]:
     if not steps <= _AXIS_POINTS_CAP - 1:
         raise ValueError(f"{name}_step {step} gives {steps + 1:.4g} points from {name}_min to "
                          f"{name}_max, more than {_AXIS_POINTS_CAP}")
-    raw = lo + np.arange(round(steps) + 1) * step     # lo + i * step, as Python computes it
-    m, flagged = _round_scaled(raw, 12)
-    values = np.copysign(m / 1e12, raw)     # one rounding of m / 10^12, as round makes
-    values[flagged] = [round(v, 12) for v in raw[flagged].tolist()]
-    values = values.tolist()
+    values = round12(lo + np.arange(round(steps) + 1) * step)  # lo + i * step, as Python makes it
     return tuple(values if values[-1] <= round(hi, 12) else values[:-1])  # the count may round up
 
 
@@ -217,9 +174,9 @@ def _rungs(j0, j_max, leak_tol) -> tuple:
     once J0, j_max and leak_tol are checked: the ladder to leak_tol for j_max None,
     else the one basis j_max, which takes every point."""
     _check_integer("J0", j0, 0)
-    ladder = _ladder(j0, leak_tol)      # checks leak_tol, for both choices
     if j_max is None:
-        return ladder, leak_tol
+        return _ladder(j0, leak_tol), leak_tol
+    _check_fraction("leak_tol", leak_tol)
     _check_j0(j0, RotorBasis(j_max=j_max).j_max)    # RotorBasis checks j_max
     return [j_max], math.inf
 
@@ -278,7 +235,7 @@ def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
     from detection; the sweep itself never aborts on a point failure.
     A surface whose minima admit no line fit keeps minima_line_fit None.
     """
-    _check_drop_threshold(drop_rel_threshold)
+    _check_fraction("drop threshold", drop_rel_threshold)
     p_vals, s_vals = grid.p_values, grid.sigma_values
     result = SweepResult(grid, columns=_evaluate(
         np.repeat(p_vals, len(s_vals)), np.tile(s_vals, len(p_vals)), grid.j0, grid.j_max,
@@ -295,12 +252,6 @@ def run_sweep(grid: SweepGrid, drop_rel_threshold: float = 0.10) -> SweepResult:
         except ValueError:      # under two minima, no cluster of two, or no parabola exists
             pass
     return result
-
-
-def _check_drop_threshold(rel_threshold: float) -> None:
-    """ValueError unless the relative drop depth is in (0, 1); NaN is not."""
-    if not 0 < rel_threshold < 1:
-        raise ValueError(f"drop threshold must be in (0, 1), got {rel_threshold}")
 
 
 def _drops(e: np.ndarray, rel_threshold: float) -> list[tuple[int, int]]:
@@ -330,7 +281,7 @@ def detect_drops(energies: np.ndarray, rel_threshold: float = 0.10) -> list[int]
     The series boundaries act as the enclosing maxima for edge-adjacent
     minima.  Positions are grid points; no sub-grid interpolation.
     """
-    _check_drop_threshold(rel_threshold)
+    _check_fraction("drop threshold", rel_threshold)
     e = np.asarray(energies, dtype=float)
     if e.size < 5:
         raise ValueError("drop detection needs at least 5 points")

@@ -237,6 +237,35 @@ class TestExitCodes:
         assert errors[0] == errors[1] == "error: --j-max must be >= 0\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["propagate", "--P", "1.5", "--sigma", "3", "--j0", "-1"], "--j0"),
+        ([*SWEEP, "--j0", "-1"], "--j0"),
+        (["validate", "--quick", "--seed", "-1"], "--seed"),
+    ])
+    def test_negative_j0_and_seed_are_1(self, argv, flag, tmp_path, monkeypatch, capsys):
+        # refused while the arguments are parsed: no check runs, no file is written
+        def no_checks(**kwargs):
+            raise AssertionError("the acceptance checks started")
+        monkeypatch.setattr(cli, "run_acceptance", no_checks)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_j0_above_the_auto_ladder_is_1(self, tmp_path, monkeypatch, capsys):
+        # auto mode's first basis, J0 + 4, is above the cap: refused before any
+        # band is built, and before the sweep writes a file
+        def no_bands(j_max):
+            raise AssertionError(f"_bands({j_max}) was called")
+        monkeypatch.setattr(rotorkick.core, "_bands", no_bands)
+        message = ("error: J0=5000 leaves auto mode no basis to try: its first, j_max=5004, "
+                   "is above the cap j_max_cap=400\n")
+        assert main([*SWEEP, "--j0", "5000", "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "sweep").exists()
+        assert main(["propagate", "--P", "1", "--sigma", "1", "--j0", "5000",
+                     "--out", str(tmp_path / "propagate")]) == 1
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("tol", ["5", "0", "1", "nan"])
     def test_leak_tol_outside_0_1_is_1_on_both_commands(self, tmp_path, capsys, tol):
         # refused with a fixed basis too, where the ladder never reads it

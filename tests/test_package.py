@@ -1,6 +1,7 @@
 """The package's public surface, its runtime dependencies and its one eigensolve."""
 
 import ast
+import math
 import re
 import subprocess
 import sys
@@ -81,21 +82,23 @@ def test_import_starts_no_worker_pool(tmp_path):
 
 def test_import_loads_no_writer(tmp_path):
     # a library user who writes no file pays for neither the writer and figure
-    # modules nor their kernels' tables, which are built on the first write
+    # modules nor their kernels' tables, which are built on the first write;
+    # the axis rounding loads the text module but builds none of its tables
     src = str(Path(rotorkick.__file__).resolve().parent.parent)
     code = textwrap.dedent(f"""
         import sys
         sys.path.insert(0, {src!r})
         import rotorkick
         assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
-        print("rotorkick.serialize" in sys.modules, "rotorkick.svgplot" in sys.modules)
+        print("rotorkick.serialize" in sys.modules, "rotorkick.svgplot" in sys.modules,
+              rotorkick._text._tables.cache_info().currsize)
         import rotorkick.serialize, rotorkick.svgplot
-        print(rotorkick.serialize._tables.cache_info().currsize,
+        print(rotorkick._text._tables.cache_info().currsize,
               rotorkick.svgplot._hex_pairs.cache_info().currsize)
     """)
     out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False", "0", "0"]
+    assert out.split() == ["False", "False", "0", "0", "0"]
 
 
 def test_one_function_calls_eigh():
@@ -112,3 +115,45 @@ def test_one_function_calls_eigh():
                 visit(child, where)
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert callers == ["propagate._solve"]
+
+
+def _package_trees():
+    for path in sorted(Path(rotorkick.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _constant(node):
+    """The value of an expression of number literals and arithmetic, else None."""
+    if not all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+               for n in ast.walk(node)):
+        return None
+    try:
+        return eval(compile(ast.Expression(node), "<constant>", "eval"), {"__builtins__": {}})
+    except (ArithmeticError, TypeError):
+        return None
+
+
+def test_one_module_holds_the_decimal_text_arithmetic():
+    # Dekker's splitter 2^27 + 1 and a tie band (a power of two below 2^-20)
+    # are written in rotorkick._text only, so every decimal renderer shares one
+    # product and one tie rule
+    found = set()
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Constant, ast.BinOp)):
+                value = _constant(node)
+                if isinstance(value, (int, float)) and not isinstance(value, bool) and (
+                        value == 134217729 or 0 < value < 2.0 ** -20
+                        and math.frexp(value)[0] == 0.5):
+                    found.add((module, float(value)))
+    assert found == {("_text", 134217729.0), ("_text", 2.0 ** -30)}
+
+
+def test_no_module_takes_private_names_from_the_sweep():
+    # text kernels live in rotorkick._text; what other modules import from
+    # the physics sweep module is its public surface
+    taken = [(module, alias.name) for module, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "sweep" and node.level == 1
+             for alias in node.names if alias.name.startswith("_")]
+    assert taken == []

@@ -308,6 +308,22 @@ class TestConvergeBasis:
     def test_cap_at_the_limit_accepted(self):
         assert converge_basis(PulseSpec(0.0, 1.0), 0, j_max_cap=_J_MAX_LIMIT).j_max == 4
 
+    @pytest.mark.parametrize("j0, kwargs, cap", [(0, dict(j_max_cap=3), 3), (397, {}, 400),
+                                                 (3000, {}, 400)])
+    def test_empty_ladder_refused_before_any_band(self, j0, kwargs, cap, monkeypatch):
+        # the first rung, J0 + 4, is above the cap: nothing to solve
+        def no_bands(j_max):
+            raise AssertionError(f"_bands({j_max}) was called")
+        monkeypatch.setattr(rotorkick.core, "_bands", no_bands)
+        with pytest.raises(ValueError, match=re.escape(
+                f"J0={j0} leaves auto mode no basis to try: its first, j_max={j0 + 4}, "
+                f"is above the cap j_max_cap={cap}")):
+            converge_basis(PulseSpec(1.0, 1.0), j0, **kwargs)
+
+    def test_first_rung_at_the_cap_accepted(self):
+        assert converge_basis(PulseSpec(0.0, 1.0), 396).j_max == 400
+        assert converge_basis(PulseSpec(0.0, 1.0), 0, j_max_cap=4).j_max == 4
+
 
 def fresh_c1(pulse, j0, j_max):
     """C(1) straight from the kernel, past every cache."""

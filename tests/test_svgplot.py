@@ -15,7 +15,8 @@ from rotorkick import svgplot
 from rotorkick.cli import main
 from rotorkick.svgplot import (H, LEGEND_ROWS, MARGIN, PALETTE, W, MissingSeriesError, PlotKind,
                                _Canvas, _ticks, angular_density, emit_plot)
-from rotorkick.sweep import PointRecord, SweepResult, _round_scaled
+from rotorkick._text import _round_scaled
+from rotorkick.sweep import PointRecord, SweepResult
 
 SVG = "{http://www.w3.org/2000/svg}"
 

@@ -39,7 +39,8 @@ from rotorkick import (
     run_sweep,
     zero_loci,
 )
-from rotorkick.sweep import _round_scaled, axis
+from rotorkick._text import _round_scaled
+from rotorkick.sweep import axis
 
 
 class TestSweepGrid:
@@ -66,6 +67,8 @@ class TestSweepGrid:
         (dict(leak_tol=math.nan), r"^leak_tol must be in \(0, 1\), got nan$"),
         (dict(leak_tol=5, j_max=9), r"^leak_tol must be in \(0, 1\), got 5$"),
         (dict(j0=5, j_max=3), r"^J0=5 outside basis \(j_max=3\)$"),
+        (dict(j0=397), r"^J0=397 leaves auto mode no basis to try: its first, j_max=401, "
+                       r"is above the cap j_max_cap=400$"),
     ])
     def test_every_field_checked_when_made(self, kwargs, message):
         # as evaluate_points checks the same arguments, with the same messages
@@ -73,6 +76,13 @@ class TestSweepGrid:
             SweepGrid(p_values=(1.0,), sigma_values=(1.0, 2.0), **kwargs)
         with pytest.raises(ValueError, match=message):
             evaluate_points([1.0], [1.0], kwargs.pop("j0", 0), **kwargs)
+
+    def test_fixed_basis_holds_a_j0_past_the_auto_ladder(self):
+        # J0 = 397 leaves auto mode no rung under the cap; a fixed basis that holds it works
+        SweepGrid(p_values=(0.0,), sigma_values=(1.0,), j0=397, j_max=401)
+        rec = evaluate_point(0.0, 1.0, 397, j_max=401)
+        assert (rec.j_max, rec.failed) == (401, False)
+        assert rec.populations[397] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("field, bad", [("p_values", math.nan), ("p_values", math.inf),
                                             ("sigma_values", math.nan),
@@ -210,12 +220,18 @@ class TestAxisKernel:
         (-1e-13, 0.0, 1e-14, 0),                # every value rounds to a zero, -0.0 or 0.0
         (5e-13, 1.05e-11, 1e-12, 11),           # x.5e-12 near-ties, left to round()
         (1125.0, 1127.0, 0.25, 5),              # past 2^50 / 10^12 from 1126 on, left to round()
+        (8190.0, 8194.0, 2 ** -10, 4097),       # across 2^13, from where a value is its own rounding
         (1e300, 1e300, 1.0, 1),
     ])
-    def test_named_axes_and_the_fallback(self, lo, hi, step, flagged):
+    def test_named_axes_and_the_fallback(self, lo, hi, step, flagged, monkeypatch):
         raw = lo + np.arange(round((hi - lo) / step) + 1) * step
         assert _round_scaled(raw, 12)[1].sum() == flagged
+        rounded = []
+        monkeypatch.setattr("rotorkick._text.round",
+                            lambda v, d: rounded.append(v) or round(v, d), raising=False)
         assert _bitwise(axis("x", lo, hi, step)) == _bitwise(_reference_axis(lo, hi, step))
+        # Python rounds the flagged values below 2^13 and no others
+        assert rounded == [v for v in raw[_round_scaled(raw, 12)[1]].tolist() if abs(v) < 2 ** 13]
 
 
 def _old_from_ranges_sigmas(lo, hi, step):
