@@ -187,7 +187,6 @@ def _echo_config(cfg: RunConfig, outdir: Path) -> None:
 def _cmd_propagate(cfg: RunConfig) -> int:
     opt = cfg.options
     outdir = Path(opt["out"])
-    _echo_config(cfg, outdir)
     pulse = PulseSpec(strength=opt["P"], sigma=opt["sigma"])
     basis = (RotorBasis(j_max=opt["j_max"]) if opt["j_max"] > 0
              else converge_basis(pulse, opt["j0"], leak_tol=opt["leak_tol"]))
@@ -195,6 +194,7 @@ def _cmd_propagate(cfg: RunConfig) -> int:
         report = propagate_ode(pulse, opt["j0"], basis, steps=opt["steps"])
     else:
         report = propagate_spectral(pulse, opt["j0"], basis)
+    _echo_config(cfg, outdir)       # after every refusal, so that a refused run writes no file
     psi = report.final
     obs = compute_all(psi, build_cos_matrix(basis), build_cos2_matrix(basis))
     doc = {

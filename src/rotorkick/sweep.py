@@ -125,11 +125,10 @@ class SweepResult:
     record() are views built on first use; a result built from records keeps them.
     """
 
-    def __init__(self, grid: SweepGrid, records: list[PointRecord] | None = None,
-                 drop_loci=None, minima_2d=None, minima_line_fit: LineFit | None = None,
-                 *, columns=None):
-        self.grid, self.minima_line_fit = grid, minima_line_fit
-        self.drop_loci, self.minima_2d = drop_loci or [], minima_2d or []  # (P, sigma, E)
+    def __init__(self, grid: SweepGrid, records: list[PointRecord] | None = None, *,
+                 columns=None):
+        self.grid, self.minima_line_fit = grid, None
+        self.drop_loci, self.minima_2d = [], []     # (P, sigma, E); run_sweep fills them
         if records is not None:     # kept, shadowing the view below; columns copied from them
             self.records = records
             k = max((r.populations.size for r in records if not r.failed), default=0)
@@ -350,23 +349,24 @@ def fit_minima_line(minima: list[tuple[float, float]]) -> LineFit:
                    rms_residual=math.sqrt(sq / len(minima)))
 
 
-def compare_drops_to_analytic(drops: list[float], strength: float, j0: int,
-                              match_window: float = 0.5) -> list[dict]:
+_MATCH_WINDOW = 0.5     # farthest a drop may sit from the analytic root it is matched to
+
+
+def compare_drops_to_analytic(drops: list[float], strength: float, j0: int) -> list[dict]:
     """Match detected drop positions to the nearest analytic zero locus.
 
     Each entry reports the branch index n, detected and analytic sigma,
-    and their difference; drops with no root within match_window are
-    flagged unmatched rather than raising.
+    and their difference; drops with no root within _MATCH_WINDOW are
+    flagged unmatched rather than raising.  zero_loci refuses a J0 it
+    does not define.
     """
-    if j0 not in (0, 1):
-        raise ValueError(f"analytic loci exist for J0 in {{0, 1}}, got {j0}")
     # past the last branch zero_loci scans, a drop is reported unmatched
     n_max = min(_N_MAX_CAP, max(10, int(2 * (max(drops) if drops else 1) / math.pi) + 3))
     loci = zero_loci(j0, strength, n_max)
     out = []
     for s in drops:
         best = min(loci, key=lambda z: abs(z.sigma_exact - s), default=None)
-        matched = best is not None and abs(s - best.sigma_exact) <= match_window
+        matched = best is not None and abs(s - best.sigma_exact) <= _MATCH_WINDOW
         out.append({
             "n": best.n if matched else None,
             "sigma_drop": s,

@@ -1,8 +1,12 @@
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import rotorkick.analytic
@@ -10,6 +14,7 @@ from rotorkick import (
     PulseSpec,
     coefficient_c1_of_0,
     coefficient_c2_of_1,
+    compare_drops_to_analytic,
     converge_basis,
     existence_threshold,
     propagate_spectral,
@@ -17,6 +22,7 @@ from rotorkick import (
     two_level_solution,
     zero_loci,
 )
+from rotorkick.analytic import TwoLevelSolution, ZeroLocus
 from rotorkick.core import _N_MAX_CAP
 
 
@@ -203,3 +209,142 @@ class TestExistenceThreshold:
             thr = existence_threshold(j0)
             assert any(z.n == 1 for z in zero_loci(j0, thr - 1e-6, 2))
             assert not any(z.n == 1 for z in zero_loci(j0, thr + 1e-6, 2))
+
+
+# The reference: each closed form written out per J0, as the module had it
+# before the two pairs came from one table of (g, q, sqrt(q)).
+SQRT3 = math.sqrt(3.0)
+SQRT15 = math.sqrt(15.0)
+
+
+def ref_two_level_solution(j0, pulse):
+    eta = pulse.eta
+    sigma = pulse.sigma
+    if j0 == 0:
+        xi = math.sqrt(1.0 + eta * eta / 3.0)
+        lam = (-1j * sigma * (1.0 + xi), -1j * sigma * (1.0 - xi))
+        if eta == 0.0:
+            vecs = ((1.0, 0.0), (0.0, 1.0))
+        else:
+            vecs = (((SQRT3 / eta) * (1.0 - xi), 1.0),
+                    ((SQRT3 / eta) * (1.0 + xi), 1.0))
+        a1 = -eta / (2.0 * math.sqrt(3.0 + eta * eta))
+    elif j0 == 1:
+        root = math.sqrt(1.0 + eta * eta / 15.0)
+        xi = 2.0 * root
+        lam = (-2j * sigma * (2.0 + root), -2j * sigma * (2.0 - root))
+        if eta == 0.0:
+            vecs = ((1.0, 0.0), (0.0, 1.0))
+        else:
+            vecs = (((SQRT15 / eta) * (1.0 - root), 1.0),
+                    ((SQRT15 / eta) * (1.0 + root), 1.0))
+        a1 = -eta / (2.0 * math.sqrt(15.0 + eta * eta))
+    else:
+        raise ValueError(f"two-level model is defined for J0 in {{0, 1}}, got {j0}")
+    return TwoLevelSolution(j0=j0, eigenvalues=lam, eigenvectors=vecs,
+                            integration_constants=(a1, -a1),
+                            sinc_argument_factor=xi)
+
+
+def ref_coefficient_c1_of_0(pulse):
+    xi = ref_two_level_solution(0, pulse).sinc_argument_factor
+    return (1j * pulse.strength * sinc(pulse.sigma * xi) / SQRT3
+            * complex(math.cos(pulse.sigma), math.sin(pulse.sigma)))
+
+
+def ref_coefficient_c2_of_1(pulse):
+    xi = ref_two_level_solution(1, pulse).sinc_argument_factor
+    return (2j * pulse.strength * sinc(pulse.sigma * xi) / SQRT15
+            * complex(math.cos(4.0 * pulse.sigma), math.sin(4.0 * pulse.sigma)))
+
+
+def ref_zero_loci(j0, strength, n_max):
+    p2 = strength * strength
+    out = []
+    for n in range(1, n_max + 1):
+        npi2 = (n * math.pi) ** 2
+        if j0 == 0:
+            radicand = (3.0 * npi2 - p2) / 3.0
+            taylor = n * math.pi * (1.0 - p2 / (6.0 * npi2))
+        elif j0 == 1:
+            radicand = (15.0 * npi2 - 4.0 * p2) / 60.0
+            taylor = 0.5 * n * math.pi * (1.0 - 2.0 * p2 / (15.0 * npi2))
+        else:
+            raise ValueError(f"zero loci are defined for J0 in {{0, 1}}, got {j0}")
+        if radicand > 0.0:
+            out.append(ZeroLocus(n=n, sigma_exact=math.sqrt(radicand), sigma_taylor=taylor))
+    return out
+
+
+def ref_existence_threshold(j0):
+    if j0 == 0:
+        return SQRT3 * math.pi
+    if j0 == 1:
+        return 0.5 * SQRT15 * math.pi
+    raise ValueError(f"threshold is defined for J0 in {{0, 1}}, got {j0}")
+
+
+def bits(value):
+    """value with every float as float.hex, so that equal means bit for bit,
+    the sign of a zero included: complex as (real, imag), containers and
+    dataclasses (by field) item by item."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, bits(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [bits(v) for v in value]
+    return value
+
+
+def near_branch_threshold(j0, n, ulps):
+    """n times the J0 existence threshold, moved by ulps units in the last place:
+    the strength at which branch n appears or goes."""
+    x = n * ref_existence_threshold(j0)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+class TestSameBitsAsPerJ0Forms:
+    """The one pair law gives every value bit for bit as the per-J0 closed forms."""
+
+    @settings(max_examples=300)
+    @given(j0=st.sampled_from([0, 1]),
+           p=st.one_of(st.just(0.0), st.floats(1e-8, 1e8),
+                       st.builds(near_branch_threshold, st.sampled_from([0, 1]),
+                                 st.integers(1, 200), st.integers(-64, 64))),
+           sigma=st.floats(1e-4, 1e4), n_max=st.integers(1, 200))
+    @example(j0=0, p=0.0, sigma=2.0, n_max=200)
+    @example(j0=1, p=0.0, sigma=2.0, n_max=200)
+    @example(j0=0, p=near_branch_threshold(0, 1, -1), sigma=1.0, n_max=3)
+    @example(j0=1, p=near_branch_threshold(1, 200, 1), sigma=1.0, n_max=200)
+    def test_every_public_function(self, j0, p, sigma, n_max):
+        pulse = PulseSpec(p, sigma)
+        assert bits(two_level_solution(j0, pulse)) == bits(ref_two_level_solution(j0, pulse))
+        assert bits(coefficient_c1_of_0(pulse)) == bits(ref_coefficient_c1_of_0(pulse))
+        assert bits(coefficient_c2_of_1(pulse)) == bits(ref_coefficient_c2_of_1(pulse))
+        assert bits(zero_loci(j0, p, n_max)) == bits(ref_zero_loci(j0, p, n_max))
+        assert bits(existence_threshold(j0)) == bits(ref_existence_threshold(j0))
+
+    def test_strengths_fall_on_both_sides_of_a_branch_threshold(self):
+        # the near_branch_threshold strengths do cross: branch n is there below, gone above
+        for j0 in (0, 1):
+            for n in (1, 7, 200):
+                below, above = (near_branch_threshold(j0, n, u) for u in (-64, 64))
+                assert zero_loci(j0, below, n)[-1].n == n
+                assert not zero_loci(j0, above, n) or zero_loci(j0, above, n)[-1].n < n
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda j0: two_level_solution(j0, PulseSpec(1.0, 1.0)), "two-level model is"),
+        (lambda j0: zero_loci(j0, 1.0, 3), "zero loci are"),
+        (existence_threshold, "threshold is"),
+        (lambda j0: compare_drops_to_analytic([3.0], 1.5, j0), "zero loci are"),
+    ])
+    @pytest.mark.parametrize("j0", [2, -1, 1.5, None])
+    def test_one_refusal_message_per_function(self, call, message, j0):
+        text = f"{message} defined for J0 in {{0, 1}}, got {j0}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(j0)

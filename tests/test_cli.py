@@ -265,6 +265,14 @@ class TestExitCodes:
         assert main(["propagate", "--P", "1", "--sigma", "1", "--j0", "5000",
                      "--out", str(tmp_path / "propagate")]) == 1
         assert capsys.readouterr().err == message
+        assert not (tmp_path / "propagate").exists()
+
+    def test_j0_outside_a_fixed_basis_is_1_and_writes_no_file(self, tmp_path, capsys):
+        # propagate refuses it as sweep does, before config_echo.txt is written
+        assert main(["propagate", "--P", "1", "--sigma", "1", "--j-max", "3", "--j0", "5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: J0=5 outside basis (j_max=3)\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tol", ["5", "0", "1", "nan"])
     def test_leak_tol_outside_0_1_is_1_on_both_commands(self, tmp_path, capsys, tol):

@@ -157,3 +157,37 @@ def test_no_module_takes_private_names_from_the_sweep():
              if isinstance(node, ast.ImportFrom) and node.module == "sweep" and node.level == 1
              for alias in node.names if alias.name.startswith("_")]
     assert taken == []
+
+
+def _uses_of_j0(node):
+    """(function, source) of each comparison and subscript under node that reads j0."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, (ast.Compare, ast.Subscript)) and any(
+                isinstance(n, ast.Name) and n.id == "j0" for n in ast.walk(node)):
+            found.append((where, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(node, None)
+    return found
+
+
+def test_one_table_holds_the_two_level_pairs():
+    # both pairs come from one table, looked up in one place: analytic.py neither
+    # compares j0 with an integer nor indexes by it elsewhere, and its only integer
+    # keys are the table's, so no second copy of a pair's constants creeps back;
+    # compare_drops_to_analytic leaves J0 to zero_loci's refusal
+    trees = dict(_package_trees())
+    assert _uses_of_j0(trees["analytic"]) == [("_pair", "_PAIRS[j0]")]
+    tables = [ast.unparse(node) for node in ast.walk(trees["analytic"])
+              if isinstance(node, ast.Dict)]
+    assert tables == ["{0: (1, 3, SQRT3), 1: (2, 15, SQRT15)}"]
+    compare, = (node for node in ast.walk(trees["sweep"]) if isinstance(node, ast.FunctionDef)
+                and node.name == "compare_drops_to_analytic")
+    assert _uses_of_j0(compare) == []
+    assert [ast.unparse(node) for node in ast.walk(compare) if isinstance(node, ast.Call)
+            and "j0" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}] == [
+        "zero_loci(j0, strength, n_max)"]

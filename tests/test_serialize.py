@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -25,6 +26,7 @@ from rotorkick import (
     run_sweep,
     zero_loci,
 )
+from rotorkick._text import _EXP_LIMIT, _nearest, _product, _tables
 from rotorkick.serialize import (
     FLOAT_FMT,
     _f,
@@ -470,6 +472,30 @@ class TestCellKernel:
         powers = 10.0 ** np.arange(-101, 102)
         _kernel_matches_reference(np.concatenate(
             [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers]))
+
+    def test_values_next_to_a_tie_go_to_python(self, tmp_path):
+        # x = M 2^-98, M in [2^52, 2^53), lies near 2e-14, which "%.17g" scales by
+        # 10^30: x 10^30 = M 5^30 / 2^68 has the fraction 1/2 + d/2^68 where
+        # M 5^30 = 2^67 + d (mod 2^68).  0 < |d| < 2^28 puts x within 2^-40 of a
+        # 17-digit tie without being one, inside the kernel's tie band
+        inverse = pow(5 ** 30, -1, 2 ** 68)
+        values = []
+        for start in (1, 2 ** 26):       # the first found lie 3e-16 from the tie, then 2^-42
+            found = []
+            for d in itertools.count(start):
+                found += [m * 2.0 ** -98 for sign in (1, -1)
+                          if 2 ** 52 <= (m := (2 ** 67 + sign * d) * inverse % 2 ** 68) < 2 ** 53]
+                if len(found) >= 2:
+                    break
+            assert d < 2 ** 28
+            values += found
+        x = np.array(values)
+        assert (np.floor(np.log10(x)) == -14).all()
+        (hi, lo), _ = _tables()
+        i = -14 + _EXP_LIMIT + 1
+        assert _nearest(*_product(x, hi[i], lo[i]))[1].all()
+        path = write_csv(tmp_path / "t.csv", ["x"], x[:, None])
+        assert path.read_text().splitlines() == ["x", *(FLOAT_FMT % v for v in values)]
 
     @pytest.mark.parametrize("x, text", [
         (1234567890123456.75, "1234567890123456.8"),      # an exact tie, rounded to even
