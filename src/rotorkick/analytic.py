@@ -25,7 +25,7 @@ def _pair(j0: int, subject: str) -> tuple[int, int, float]:
     try:
         return _PAIRS[j0]
     except (KeyError, TypeError):       # TypeError: an unhashable J0
-        raise ValueError(f"{subject} defined for J0 in {{0, 1}}, got {j0}") from None
+        raise ValueError(f"{subject} defined for J0 in {set(_PAIRS)}, got {j0}") from None
 
 
 def sinc(x: float) -> float:

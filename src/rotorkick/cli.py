@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import existence_threshold, zero_loci
-from .core import (_J_MAX_LIMIT, _N_MAX_CAP, PulseSpec, RotorBasis, build_cos2_matrix,
-                   build_cos_matrix)
+from .analytic import _PAIRS, existence_threshold, zero_loci
+from .core import (_J_MAX_LIMIT, _N_MAX_CAP, _STEPS_LIMIT, PulseSpec, RotorBasis,
+                   build_cos2_matrix, build_cos_matrix)
 from .observables import compute_all
 from .propagate import ConvergenceError, converge_basis, propagate_ode, propagate_spectral
 from .serialize import timestamp, write_csv, write_json, write_records
@@ -134,7 +134,8 @@ def _build_parser() -> _Parser:
     arg(p, "--sigma", positive, required=True)
     basis(p)
     p.add_argument("--method", choices=["spectral", "rk4"], default="spectral")
-    arg(p, "--steps", positive, conv=int, default=100_000, help="RK4 step count")
+    arg(p, "--steps", positive, (f"<= {_STEPS_LIMIT}", lambda n: n <= _STEPS_LIMIT), conv=int,
+        default=100_000, help="RK4 step count")
     common(p)
 
     p = sub.add_parser("sweep", help="sweep sigma (and optionally P)")
@@ -151,7 +152,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analytic", help="two-level zero loci and thresholds")
     arg(p, "--P", non_negative, required=True)
-    p.add_argument("--j0", type=int, choices=[0, 1], default=0)
+    p.add_argument("--j0", type=int, choices=sorted(_PAIRS), default=0)
     arg(p, "--n-max", (f"in [1, {_N_MAX_CAP}]", lambda n: 1 <= n <= _N_MAX_CAP), conv=int,
         default=5)
     common(p)
@@ -242,7 +243,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     print(f"{len(result.table)} points "
           f"({n_fail} failed), {len(result.drop_loci)} drops, "
           f"{len(result.minima_2d)} surface minima -> {outdir}")
-    if result.drop_loci and len(grid.p_values) == 1 and grid.j0 in (0, 1):
+    if result.drop_loci and len(grid.p_values) == 1 and grid.j0 in _PAIRS:
         for row in compare_drops_to_analytic([s for _, s, _ in result.drop_loci],
                                              grid.p_values[0], grid.j0):
             if row["matched"]:

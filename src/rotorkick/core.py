@@ -23,6 +23,8 @@ import numpy as np
 HBAR_SI = 1.054571817e-34
 # The largest basis that auto mode tries before it gives up on a point.
 _J_MAX_CAP = 400
+# The most RK4 steps propagate_ode takes: 100 times its default, about 10 s of its loop.
+_STEPS_LIMIT = 10_000_000
 # The largest basis that a caller may fix: _bands squares a dense (j_max + 2)^2
 # matrix, which at this limit takes about 0.45 s and 100 MiB.
 _J_MAX_LIMIT = 2000

@@ -11,59 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import (_J_MAX_CAP, _J_MAX_LIMIT, PulseSpec, RotorBasis, Wavepacket, _check_fraction,
-                   _check_integer, _check_j0, _check_strength, _hamiltonians, build_hamiltonian)
-
-# Most matrix entries in flight at once: over all the stacks that one call of
-# _propagate_points has being solved together, one stack inline or one a worker.
-# With the eigenvectors and their complex copy a stack takes about 40 bytes an
-# entry, so this bounds the stacks in flight at about 10 MiB whatever the number
-# of points, the basis size or the number of cores.
-_STACK_ENTRIES = 1 << 18
-# Fewest matrix entries (about 2 ms of eigh) in a call that is split across the
-# workers; a smaller call gains less than handing its stacks to threads costs.
-# On a 2-core Xeon with OpenBLAS 0.3.31, split calls of 8192 entries took
-# 0.8-1.2x the inline time, of 16384 entries 0.75-0.95x and of 32768 entries 0.6x.
-_SPLIT_ENTRIES = 1 << 14
-# Largest matrices that are split.  Up to 25 x 25, LAPACK's divide-and-conquer
-# eigensolver (dstedc) solves the tridiagonal problem by QL/QR on one core; above
-# it calls level-3 BLAS, which spreads each solve over the cores itself, and
-# stacks split across threads only contend for them.  On the same host, split
-# stacks took 0.5x the inline time up to 25 x 25, and 0.85-1.06x from 29 x 29 on.
-_SPLIT_DIM = 25
-# One worker thread for each CPU this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pool = None                # the workers, made when the first stack is split
-_pool_lock = threading.Lock()
-
-
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which has none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor():
-    """The pool of _WORKERS threads, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="rotorkick-eigh")
-        return _pool
+from .core import (_J_MAX_CAP, _J_MAX_LIMIT, _STEPS_LIMIT, PulseSpec, RotorBasis, Wavepacket,
+                   _check_fraction, _check_integer, _check_j0, _check_strength, _hamiltonians,
+                   build_hamiltonian)
 
 
 class Method(Enum):
@@ -97,31 +53,11 @@ def _report(c: np.ndarray, basis: RotorBasis, j0: int, method: Method,
 
 
 def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
-    """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max.
-
-    The points are cut into equal stacks.  A call of at least _SPLIT_ENTRIES
-    entries of matrices up to _SPLIT_DIM x _SPLIT_DIM is solved by the _WORKERS
-    threads together, one stack each at a time (LAPACK runs without the GIL);
-    any other call, or any call on a single CPU, solves its stacks inline.
-    Either way the stacks in flight hold at most _STACK_ENTRIES entries, and each
-    matrix is solved on its own by the same LAPACK call, so the result is bit for
-    bit the same however the points are cut.
-    """
+    """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max: one
+    _solve on the column stack.  Each matrix is solved on its own by the same
+    LAPACK call, so a point's row has the same bits in a stack of any size."""
     _check_j0(j0, j_max)
-    size = (j_max + 1) ** 2
-    per = _STACK_ENTRIES // (_WORKERS * size)       # points a stack, _WORKERS stacks at once
-    split = (_WORKERS > 1 and per > 0 and j_max < _SPLIT_DIM
-             and p.size * size >= _SPLIT_ENTRIES)
-    if split:       # a multiple of _WORKERS stacks, so that each worker gets as many
-        n = min(p.size, _WORKERS * -(-p.size // (_WORKERS * per)))
-    else:
-        n = -(-p.size // max(1, _STACK_ENTRIES // size))
-    if n <= 1:
-        return _solve(p[:, None], sigma[:, None], j0, j_max)
-    cuts = [p.size * i // n for i in range(n + 1)]
-    parts = (_executor().map if split else map)(
-        lambda a, b: _solve(p[a:b, None], sigma[a:b, None], j0, j_max), cuts[:-1], cuts[1:])
-    return np.concatenate(list(parts))
+    return _solve(p[:, None], sigma[:, None], j0, j_max)
 
 
 def _solve(p, sigma, j0: int, j_max: int) -> np.ndarray:
@@ -202,6 +138,8 @@ def propagate_ode(pulse: PulseSpec, j0: int, basis: RotorBasis,
     steps = int(steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps > _STEPS_LIMIT:
+        raise ValueError(f"steps must be <= {_STEPS_LIMIT}, got {steps}")
     warning = None
     # RK4 on the imaginary axis is stable for |lambda|*dt < 2*sqrt(2);
     # the spectral radius is bounded by the largest diagonal plus band.

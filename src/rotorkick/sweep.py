@@ -1,11 +1,13 @@
 """(P, sigma) parameter sweeps with drop and surface-minima detection.
 
 Points are evaluated by the spectral kernel of converge_basis and
-propagate_spectral: per candidate basis size, one stacked eigensolve of the
-Hamiltonians of all points not yet converged, then the observables from that
-size's cached operator bands.  A large stack is cut into equal parts that
-threads solve on all the CPUs the process may use.  No arithmetic crosses point
-boundaries, so the results are bit for bit the same on any number of CPUs.
+propagate_spectral: per candidate basis size, the points not yet converged are
+taken in consecutive stacks of at most _STACK_ENTRIES matrix entries, one
+stacked eigensolve each, and a stack's leak test and observables are done before
+the next stack is formed.  So a sweep holds one stack's working arrays and the
+rows already converged, whatever the size of its grid.  No arithmetic crosses
+point boundaries, so the results are bit for bit the same however the points
+are cut.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from .core import (_AXIS_POINTS_CAP, _N_MAX_CAP, RotorBasis, _bands, _check_frac
                    _check_integer, _check_j0, _j2)
 from .observables import _expectations
 from .propagate import _ladder, _leak, _leak_error, _propagate_points
+
+# Most matrix entries in one stack of an eigensolve.  With the eigenvectors and
+# their complex copy a stack takes about 40 bytes an entry, so this bounds a
+# stack at about 1.3 MiB whatever the number of points or the basis size; a
+# larger basis than sqrt(_STACK_ENTRIES) - 1 is solved one point a stack.
+_STACK_ENTRIES = 1 << 15
 
 
 def _check_values(name: str, values, positive: bool) -> np.ndarray:
@@ -139,7 +147,8 @@ class SweepResult:
                 row[6:6 + k][:r.populations.size] = r.populations
                 row[6 + k:][:r.coeff_abs.size] = r.coeff_abs
         self.table, self.j_max, self.errors = columns
-        self.failed = np.isin(np.arange(len(self.table)), list(self.errors))
+        self.failed = np.zeros(len(self.table), dtype=bool)
+        self.failed[list(self.errors)] = True
 
     @functools.cached_property
     def records(self) -> list[PointRecord]:
@@ -191,19 +200,27 @@ def _evaluate(p, sigma, j0, j_max, leak_tol):
     for jm in ladder:
         if not active.size:
             break
-        c = _propagate_points(p_arr[active], s_arr[active], j0, jm)
-        done = _leak(c) < tol
-        if done.any():
-            solved.append((jm, active[done], c[done]))
-        active = active[~done]
+        per = max(1, _STACK_ENTRIES // (jm + 1) ** 2)     # points a stack, at least one
+        bands, left = (_j2(jm), *_bands(jm)[1:]), np.ones(active.size, dtype=bool)
+        for a in range(0, active.size, per):
+            idx = active[a:a + per]
+            c = _propagate_points(p_arr[idx], s_arr[idx], j0, jm)
+            done = _leak(c) < tol
+            if done.any():
+                c = c[done]
+                pop = abs(c) ** 2
+                solved.append((jm, idx[done], np.column_stack(_expectations(c, pop, *bands)),
+                               pop, np.abs(c)))
+            left[a:a + per] = ~done
+        active = active[left]
     k = solved[-1][0] + 1 if solved else 0      # rungs grow, so the last is the widest
     table = np.zeros((p_arr.size, 6 + 2 * k))
     table[:, 0], table[:, 1], table[:, 2], table[:, 3:6] = p_arr, s_arr, j0, math.nan
     levels = np.full(p_arr.size, -1)
-    for jm, idx, c in solved:
-        pop = abs(c) ** 2
-        table[idx, 3:6] = np.column_stack(_expectations(c, pop, _j2(jm), *_bands(jm)[1:]))
-        table[idx, 6:7 + jm], table[idx, 6 + k:7 + k + jm], levels[idx] = pop, np.abs(c), jm
+    while solved:       # each stack's rows dropped once they are in the table
+        jm, idx, obs, pop, c_abs = solved.pop()
+        table[idx, 3:6], table[idx, 6:7 + jm], table[idx, 6 + k:7 + k + jm] = obs, pop, c_abs
+        levels[idx] = jm
     return table, levels, {i: _leak_error(leak_tol, *table[i, :2].tolist(), j0)
                            for i in active.tolist()}
 
@@ -291,7 +308,8 @@ def detect_surface_minima(result: SweepResult,
                           ceiling: float | None = None) -> list[tuple[float, float, float]]:
     """Grid points that are strict minima over their 8-neighborhood and lie
     below an absolute kinetic-energy ceiling (default: 1st percentile of
-    the surface's finite values; a surface with none has no minima)."""
+    the surface's finite values, as np.percentile gives it; a surface with
+    none has no minima)."""
     e = result.energy_surface()
     if e.shape[0] < 5 or e.shape[1] < 5:
         raise ValueError("surface minima detection needs a grid of at least 5x5")
@@ -299,7 +317,7 @@ def detect_surface_minima(result: SweepResult,
         finite = e[np.isfinite(e)]
         if not finite.size:
             return []
-        ceiling = float(np.percentile(finite, 1.0))
+        ceiling = _first_percentile(finite)
     # the 3 x 3 patch of each interior cell not above the ceiling (NaN fails any comparison)
     ip, isig = np.nonzero(~(e[1:-1, 1:-1] > ceiling))
     patch = np.lib.stride_tricks.sliding_window_view(e, (3, 3))[ip, isig]
@@ -308,6 +326,20 @@ def detect_surface_minima(result: SweepResult,
     keep = v < patch.min(axis=(1, 2))
     return [(result.grid.p_values[i + 1], result.grid.sigma_values[j + 1], x)
             for i, j, x in zip(ip[keep].tolist(), isig[keep].tolist(), v[keep].tolist())]
+
+
+def _first_percentile(x: np.ndarray) -> float:
+    """np.percentile(x, 1.0) of a non-empty 1-D float array x, bit for bit, which it
+    reorders: numpy's linear rule on the two order statistics around index
+    (n - 1) * 0.01, partitioned as numpy does it.  np.percentile itself would load
+    numpy.ma (through np.unique) into every sweep."""
+    i = (x.size - 1) * 0.01
+    lo = math.floor(i) if i < x.size - 1 else -1    # numpy's index past the end: the last
+    hi = lo + 1 if lo >= 0 else -1
+    x.partition(sorted({0, -1, lo, hi}))
+    a, b = float(x[lo]), float(x[hi])
+    t, d = i - lo, b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t     # numpy's _lerp, both of its sides
 
 
 def nearest_parabola_index(p: float, sigma: float, n_max: int = 40) -> int:

@@ -9,7 +9,7 @@ import rotorkick.cli as cli
 import rotorkick.core
 import rotorkick.sweep
 from rotorkick.cli import main, parse_config
-from rotorkick.core import _J_MAX_LIMIT
+from rotorkick.core import _J_MAX_LIMIT, _STEPS_LIMIT
 from rotorkick.serialize import read_records_csv
 from rotorkick.sweep import PointRecord, SweepResult
 from rotorkick.validate import CheckResult
@@ -251,6 +251,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {flag} must be >= 0\n"
         assert not (tmp_path / "out").exists()
 
+    def test_steps_above_the_limit_is_1(self, tmp_path, monkeypatch, capsys):
+        # refused while the arguments are parsed: no step runs, no file is written
+        def no_ode(*args, **kwargs):
+            raise AssertionError("propagate_ode was called")
+        monkeypatch.setattr(cli, "propagate_ode", no_ode)
+        assert main(["propagate", "--P", "1.5", "--sigma", "3", "--method", "rk4",
+                     "--steps", str(_STEPS_LIMIT + 1), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: --steps must be <= {_STEPS_LIMIT}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_j0_above_the_auto_ladder_is_1(self, tmp_path, monkeypatch, capsys):
         # auto mode's first basis, J0 + 4, is above the cap: refused before any
         # band is built, and before the sweep writes a file
@@ -379,6 +389,17 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "1 drops" in out
         assert "n=1" in out  # analytic comparison printed
+
+    @pytest.mark.parametrize("j0, compared", [(1, True), (2, False)])
+    def test_drops_compared_for_the_two_level_pairs(self, j0, compared, tmp_path, capsys):
+        # J0 = 1 has a two-level pair to compare its drop with; J0 = 2 has a drop
+        # but no pair, so no comparison is printed
+        assert main(["sweep", "--P", "1.5", "--sigma-min", "0.05", "--sigma-max", "2.0",
+                     "--sigma-step", "0.05", "--j0", str(j0), "--formats", "csv",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "40 points (0 failed), 1 drops" in out
+        assert ("  drop at sigma=" in out) == compared
 
     def test_sigma_axis_stops_at_max(self, tmp_path):
         # 20.8 steps of 0.05 fit: the last row is sigma = 2.0, not 2.05 > 2.04

@@ -65,19 +65,26 @@ def test_cli_and_figures_load_no_network_stack(tmp_path):
     assert out.strip() == "[]"
 
 
-def test_import_starts_no_worker_pool(tmp_path):
-    # the sweep's worker threads and their module come on the first split stack
+def test_cli_sweep_runs_on_one_thread(tmp_path):
+    # a 2-D sweep whose first rung holds 900 points (22 500 matrix entries) runs
+    # on the calling thread alone, and its default minima ceiling does not load
+    # numpy.ma, which np.percentile brings in through np.unique
     src = str(Path(rotorkick.__file__).resolve().parent.parent)
     code = textwrap.dedent(f"""
         import sys, threading
         sys.path.insert(0, {src!r})
-        import rotorkick
+        import rotorkick.cli
         assert rotorkick.__file__.startswith({src!r}), rotorkick.__file__
-        print("concurrent.futures" in sys.modules, threading.active_count())
+        code = rotorkick.cli.main(["sweep", "--P-min", "4.1", "--P-max", "5.55", "--P-step",
+                                   "0.05", "--sigma-min", "5.7", "--sigma-max", "7.15",
+                                   "--sigma-step", "0.05", "--out", "out"])
+        print(code, threading.active_count(),
+              sorted(m for m in ("concurrent.futures", "numpy.ma") if m in sys.modules))
     """)
     out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False 1"
+    assert out.splitlines()[-1] == "0 1 []"
+    assert "900 points (0 failed)" in out and " 0 surface minima" not in out
 
 
 def test_import_loads_no_writer(tmp_path):
@@ -115,6 +122,21 @@ def test_one_function_calls_eigh():
                 visit(child, where)
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert callers == ["propagate._solve"]
+
+
+def test_no_module_starts_threads():
+    # the eigensolves run on the calling thread: no module of the package imports
+    # threading or concurrent.futures, or registers a fork handler for their state
+    found = []
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) and node.module else [])
+            found += [(module, name) for name in names
+                      if name.split(".")[0] in ("threading", "concurrent")]
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("register_at_fork"):
+                found.append((module, ast.unparse(node.func)))
+    assert found == []
 
 
 def _package_trees():
@@ -179,7 +201,8 @@ def test_one_table_holds_the_two_level_pairs():
     # both pairs come from one table, looked up in one place: analytic.py neither
     # compares j0 with an integer nor indexes by it elsewhere, and its only integer
     # keys are the table's, so no second copy of a pair's constants creeps back;
-    # compare_drops_to_analytic leaves J0 to zero_loci's refusal
+    # compare_drops_to_analytic leaves J0 to zero_loci's refusal, and the CLI takes
+    # the J0 that it offers and compares from the table, not from a literal of its own
     trees = dict(_package_trees())
     assert _uses_of_j0(trees["analytic"]) == [("_pair", "_PAIRS[j0]")]
     tables = [ast.unparse(node) for node in ast.walk(trees["analytic"])
@@ -191,3 +214,10 @@ def test_one_table_holds_the_two_level_pairs():
     assert [ast.unparse(node) for node in ast.walk(compare) if isinstance(node, ast.Call)
             and "j0" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}] == [
         "zero_loci(j0, strength, n_max)"]
+    literals = [ast.unparse(node) for node in ast.walk(trees["cli"])
+                if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts
+                and all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts)]
+    assert literals == []
+    taken = [ast.unparse(node) for node in ast.walk(trees["cli"])
+             if isinstance(node, (ast.Compare, ast.keyword)) and "_PAIRS" in ast.unparse(node)]
+    assert taken == ["choices=sorted(_PAIRS)", "grid.j0 in _PAIRS"]

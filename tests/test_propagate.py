@@ -22,7 +22,7 @@ from rotorkick import (
     propagate_ode,
     propagate_spectral,
 )
-from rotorkick.core import _J_MAX_LIMIT
+from rotorkick.core import _J_MAX_LIMIT, _STEPS_LIMIT
 from rotorkick.propagate import _leak, _point, _propagate_points, _state_leak
 
 
@@ -142,6 +142,14 @@ class TestOde:
     def test_rejects_nonpositive_steps(self):
         for steps in (0, -1):
             with pytest.raises(ValueError, match=f"^steps must be >= 1, got {steps}$"):
+                propagate_ode(PulseSpec(1.5, 3.0), 0, RotorBasis(9), steps=steps)
+
+    def test_steps_above_the_limit_refused_before_any_matrix(self, monkeypatch):
+        def no_hamiltonian(*args):
+            raise AssertionError("build_hamiltonian was called")
+        monkeypatch.setattr(rotorkick.propagate, "build_hamiltonian", no_hamiltonian)
+        for steps in (_STEPS_LIMIT + 1, np.int64(_STEPS_LIMIT + 1), 10 ** 30):
+            with pytest.raises(ValueError, match=f"^steps must be <= {_STEPS_LIMIT}, got {steps}$"):
                 propagate_ode(PulseSpec(1.5, 3.0), 0, RotorBasis(9), steps=steps)
 
     @pytest.mark.parametrize("steps", [2500.0, np.float64(2500), True, "2500", None])

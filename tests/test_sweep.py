@@ -1,13 +1,12 @@
 import math
-import os
 import pickle
-import signal
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rotorkick.propagate
 import rotorkick.sweep
@@ -516,6 +515,21 @@ class TestDetectionGate:
             assert (detect_surface_minima(res, ceiling)
                     == reference_detect_surface_minima(res, want))
 
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300)
+        .map(np.array),
+        arrays(np.float64, st.integers(1, 5000), elements=st.floats(-1e3, 1e3),
+               fill=st.floats(-1e3, 1e3))))
+    @example(np.array([-0.0]))
+    @example(np.array([0.0, -0.0, 0.0]))
+    @example(np.arange(101.0)[::-1])        # the index (n - 1) * 0.01 is exactly 1
+    @example(np.arange(378) * 0.1 + 0.3)    # a weight of 0.77: numpy's second form differs
+    @example(np.array([-1e308, 1e308] * 100))   # b - a overflows
+    def test_default_ceiling_is_the_numpy_percentile(self, x):
+        with np.errstate(all="ignore"):
+            want = np.float64(np.percentile(x, 1.0)).tobytes()
+        assert np.float64(rotorkick.sweep._first_percentile(x.copy())).tobytes() == want
+
     def test_default_ceiling_leaves_out_failed_points(self):
         rng = np.random.default_rng(7)
         e = rng.uniform(1.0, 2.0, (7, 7))
@@ -679,28 +693,12 @@ def _scalar_sweep(grid):
     return res
 
 
-@pytest.fixture
-def two_workers(monkeypatch):
-    """Split every stack of two or more points, of matrices up to the largest
-    that are split, across two worker threads on a pool of the test's own,
-    whatever the number of CPUs."""
-    monkeypatch.setattr(rotorkick.propagate, "_WORKERS", 2)
-    monkeypatch.setattr(rotorkick.propagate, "_SPLIT_ENTRIES", 1)
-    monkeypatch.setattr(rotorkick.propagate, "_pool", None)
-    yield
-    if rotorkick.propagate._pool is not None:
-        rotorkick.propagate._pool.shutdown()
-
-
-@pytest.fixture(params=["default stack", "two-point stacks", "split across workers"])
+@pytest.fixture(params=["default stack", "two-point stacks"])
 def stack_entries(request, monkeypatch):
-    """Run the engine with its own stack size, with stacks of at most two
-    points, so that splitting a round into several eigensolves is covered, and
-    with the stacks solved by two worker threads."""
+    """Run the engine with its own stack size, and with stacks of at most two
+    points, so that splitting a rung into several eigensolves is covered."""
     if request.param == "two-point stacks":
-        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", 50)
-    elif request.param == "split across workers":
-        request.getfixturevalue("two_workers")
+        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", 50)
     return request.param
 
 
@@ -788,96 +786,89 @@ class TestBatchedEngine:
             evaluate_points(p, s, 0)
 
 
-class TestWorkerPool:
-    """Stacks split across worker threads give the bits of one stack."""
+class TestStream:
+    """Each rung walks its points in consecutive stacks within the budget, a stack's
+    observables made before the next stack is solved, with the bits of one stack."""
 
     MIXED = SweepGrid(p_values=(1.5, 500.0), sigma_values=(0.001, 0.002, 0.5, 1.0, 3.0, 6.0),
                       leak_tol=1e-14)
+    BLOCK = SweepGrid(p_values=axis("P", 4.1, 4.85, 0.05), sigma_values=axis("sigma", 5.7, 6.45, 0.05))
 
-    @pytest.mark.parametrize("entries", [rotorkick.propagate._STACK_ENTRIES, 200])
-    def test_split_equals_one_stack(self, two_workers, monkeypatch, entries):
-        # every rung of the mixed grid, failed points up to the cap included;
-        # 200 entries cut rungs 4 and 8 into several stacks a worker
-        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", entries)
-        calls = []
+    @pytest.mark.parametrize("entries", [rotorkick.sweep._STACK_ENTRIES, 200])
+    def test_stacks_equal_one_stack(self, monkeypatch, entries):
+        # every rung of the mixed grid, failed points up to the cap included, and
+        # a 16 x 16 block; 200 entries cut rungs 4 and 8 into several stacks
+        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", entries)
+        got = [run_sweep(grid) for grid in (self.MIXED, self.BLOCK)]
+        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", 1 << 40)
+        for res, grid in zip(got, (self.MIXED, self.BLOCK)):
+            want = run_sweep(grid)
+            assert _same_bits(res.table, want.table) and _same_bits(res.j_max, want.j_max)
+            assert res.errors == want.errors and res.drop_loci == want.drop_loci
+            assert res.minima_2d == want.minima_2d
+            assert res.minima_line_fit == want.minima_line_fit
 
-        def spy(p, sigma, j0, j_max):
-            c = rotorkick.propagate._propagate_points(p, sigma, j0, j_max)
-            calls.append((p, sigma, j0, j_max, c))
+    @pytest.mark.parametrize("entries", [rotorkick.sweep._STACK_ENTRIES, 200])
+    def test_stacks_stay_within_the_budget(self, monkeypatch, entries):
+        # a stack holds at most the budget's entries, or one matrix; the points a
+        # stack converges get their observables before the next stack is solved,
+        # and a rung's stacks take its points in order, each once
+        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", entries)
+        solve, expectations, events = (rotorkick.sweep._propagate_points,
+                                       rotorkick.sweep._expectations, [])
+
+        def spy_solve(p, sigma, j0, j_max):
+            c = solve(p, sigma, j0, j_max)
+            events.append(("solve", j_max, p.tolist(), sigma.tolist(),
+                           int(np.count_nonzero(rotorkick.propagate._leak(c) < 1e-14))))
             return c
-        monkeypatch.setattr(rotorkick.sweep, "_propagate_points", spy)
+
+        def spy_expectations(c, *args):
+            events.append(("observables", len(c)))
+            return expectations(c, *args)
+        monkeypatch.setattr(rotorkick.sweep, "_propagate_points", spy_solve)
+        monkeypatch.setattr(rotorkick.sweep, "_expectations", spy_expectations)
         run_sweep(self.MIXED)
-        assert rotorkick.propagate._pool is not None
-        assert [(c[0].size, c[3]) for c in calls[:2]] == [(12, 4), (12, 8)]
-        monkeypatch.setattr(rotorkick.propagate, "_WORKERS", 1)
-        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", 1 << 40)
-        for p, sigma, j0, j_max, got in calls:
-            assert _same_bits(got, rotorkick.propagate._propagate_points(p, sigma, j0, j_max))
+        for i, event in enumerate(events):
+            following = events[i + 1] if i + 1 < len(events) else None
+            if event[0] == "solve" and event[4]:
+                assert following == ("observables", event[4])
+            elif event[0] == "solve":
+                assert following is None or following[0] == "solve"
+            else:
+                assert events[i - 1][0] == "solve"
+        points = list(zip(np.repeat(self.MIXED.p_values, 6).tolist(),
+                          np.tile(self.MIXED.sigma_values, 2).tolist()))
+        rungs = {}
+        for event in events:
+            if event[0] == "solve":
+                rungs.setdefault(event[1], []).append(list(zip(event[2], event[3])))
+        assert sorted(rungs) == list(range(4, 401, 4))
+        assert sum(rungs[4], []) == points
+        for j_max, stacks in rungs.items():     # the points left, in grid order, each once
+            rung, per = sum(stacks, []), max(1, entries // (j_max + 1) ** 2)
+            assert rung == sorted(set(rung), key=points.index)
+            assert [len(stack) for stack in stacks] == [
+                min(per, len(rung) - a) for a in range(0, len(rung), per)]
 
-    @pytest.mark.parametrize("entries", [rotorkick.propagate._STACK_ENTRIES, 200])
-    def test_stacks_in_flight_stay_within_the_budget(self, two_workers, monkeypatch, entries):
-        # a worker's stack holds at most half the entries, two being in flight;
-        # an inline stack at most all of them, or one matrix
-        monkeypatch.setattr(rotorkick.propagate, "_STACK_ENTRIES", entries)
-        solve, stacks = rotorkick.propagate._solve, []
-
-        def spy(p, sigma, j0, j_max):
-            stacks.append((threading.current_thread() is threading.main_thread(),
-                           p.size, (j_max + 1) ** 2))
-            return solve(p, sigma, j0, j_max)
-        monkeypatch.setattr(rotorkick.propagate, "_solve", spy)
-        run_sweep(self.MIXED)
-        assert any(not inline for inline, _, _ in stacks)
-        for inline, n, size in stacks:
-            assert n * size <= (entries if inline else entries // 2) or (inline and n == 1)
-
-    def test_one_worker_makes_no_pool(self, monkeypatch):
-        monkeypatch.setattr(rotorkick.propagate, "_WORKERS", 1)
-        monkeypatch.setattr(rotorkick.propagate, "_SPLIT_ENTRIES", 1)
-        monkeypatch.setattr(rotorkick.propagate, "_pool", None)
-        run_sweep(SweepGrid.from_ranges((1.5, 2.0), 0.5, 3.0, 0.5))
-        assert rotorkick.propagate._pool is None
-
-    def test_concurrent_callers_share_one_pool(self, two_workers, monkeypatch):
-        # a pool that is slow to make leaves every caller time to make its own
-        import concurrent.futures
-
-        class SlowPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                threading.Event().wait(0.01)
-                super().__init__(*args, **kwargs)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
-        pools, barrier = [], threading.Barrier(8)
-
-        def call():
-            barrier.wait()
-            pools.append(rotorkick.propagate._executor())
-        threads = [threading.Thread(target=call) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert len(pools) == 8 and all(pool is pools[0] for pool in pools)
-
-    def test_forked_child_sweeps(self, two_workers):
-        # the child has none of the parent's worker threads; a pool it kept
-        # would take the child's stacks and never solve them
-        axis = tuple(np.round(4.1 + 0.05 * np.arange(64), 10))
-        grid = SweepGrid(p_values=axis, sigma_values=tuple(np.round(1.6 + np.array(axis), 10)))
-        want = run_sweep(grid).table
-        assert rotorkick.propagate._pool is not None
-        pid = os.fork()
-        if pid == 0:    # the child: exit 0 on the same table, 1 on another, killed by the alarm
-            code = 2
-            try:
-                signal.signal(signal.SIGALRM, signal.SIG_DFL)
-                signal.alarm(10)
-                code = 0 if _same_bits(run_sweep(grid).table, want) else 1
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+    @pytest.mark.parametrize("p_axis, sigma_axis", [
+        ((1.5,), (0.005, 10.0, 0.005)),                         # fig2
+        ((4.1, 7.25, 0.05), (5.7, 8.85, 0.05)),                 # the 64 x 64 block
+        ((0.5, 6.85, 0.05), (0.5, 6.85, 0.05)),                 # 128 x 128, four times it
+    ], ids=["fig2", "block", "128x128"])
+    def test_traced_peak_within_twice_the_table(self, p_axis, sigma_axis):
+        # a sweep holds one stack's working arrays and the converged rows beside
+        # its table, never a whole rung's temporaries
+        grid = SweepGrid(p_values=axis("P", *p_axis) if len(p_axis) > 1 else p_axis,
+                         sigma_values=axis("sigma", *sigma_axis))
+        run_sweep(grid)     # the bands and the axis caches, filled before the trace
+        tracemalloc.start()
+        try:
+            result = run_sweep(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * result.table.nbytes + 2 * 2 ** 20, (peak, result.table.nbytes)
 
 
 def _seeded_points():
