@@ -18,8 +18,10 @@ from enum import Enum
 import numpy as np
 
 from .core import (_J_MAX_CAP, _J_MAX_LIMIT, _STEPS_LIMIT, PulseSpec, RotorBasis, Wavepacket,
-                   _check_fraction, _check_integer, _check_j0, _check_strength, _hamiltonians,
-                   build_hamiltonian)
+                   _bands, _check_fraction, _check_integer, _check_j0, _check_strength,
+                   _hamiltonians, build_hamiltonian)
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class Method(Enum):
@@ -52,20 +54,55 @@ def _report(c: np.ndarray, basis: RotorBasis, j0: int, method: Method,
     )
 
 
-def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int) -> np.ndarray:
+def _propagate_points(p: np.ndarray, sigma: np.ndarray, j0: int, j_max: int,
+                      floor_at: int | None = None):
     """C(1) from |J0, 0> for each point (p[k], sigma[k]) on the basis j_max: one
     _solve on the column stack.  Each matrix is solved on its own by the same
-    LAPACK call, so a point's row has the same bits in a stack of any size."""
+    LAPACK call, so a point's row has the same bits in a stack of any size.
+    With floor_at, also each point's _leak_floor on that smaller basis."""
     _check_j0(j0, j_max)
-    return _solve(p[:, None], sigma[:, None], j0, j_max)
+    return _solve(p[:, None], sigma[:, None], j0, j_max, floor_at)
 
 
-def _solve(p, sigma, j0: int, j_max: int) -> np.ndarray:
+def _solve(p, sigma, j0: int, j_max: int, floor_at: int | None = None):
     """C(1) of one point (scalars p and sigma) or of a stack (columns p[:, None] and
     sigma[:, None]): one eigh of the Hamiltonians, then
-    C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0)."""
+    C(1) = U (exp(-i Lambda) * U[J0, :]), which is U exp(-i Lambda) U^T C(0).
+    With floor_at = jf, 1 <= jf < j_max and J0 <= jf, it returns C(1) and the
+    _leak_floor at jf, from the same eigendecomposition."""
     evals, u = np.linalg.eigh(_hamiltonians(p, sigma, j_max))
-    return np.matmul(u, (np.exp(-1j * evals) * u[..., j0, :])[..., None])[..., 0]
+    c = np.matmul(u, (np.exp(-1j * evals) * u[..., j0, :])[..., None])[..., 0]
+    return c if floor_at is None else (c, _leak_floor(p, sigma, j0, j_max, floor_at, u, c))
+
+
+def _leak_floor(p, sigma, j0: int, j_max: int, jf: int, u: np.ndarray, c: np.ndarray):
+    """A lower bound on sqrt(_leak) of the C(1) that _solve computes on the smaller
+    basis jf, from the eigenvectors u and C(1) = c that it computed on the basis j_max.
+
+    In exact arithmetic, with b = <jf|cos|jf+1> and the top two levels of jf,
+        sqrt(leak(jf)) >= |(c[jf-1], c[jf])| - P b sum_k |u[jf+1, k] u[J0, k]|.
+    H is tridiagonal, so levels J <= jf meet the rest of the j_max basis only
+    through the entry -P b.  By variation of constants the projection of the
+    j_max state on J <= jf differs from the jf state at tau = 1 by at most
+    P b max_tau |c_{jf+1}(tau)|, and c_{jf+1}(tau) = sum_k u[jf+1, k]
+    exp(-i lambda_k tau) u[J0, k] is at most the sum in modulus.  The triangle
+    inequality on the top two levels gives the bound.
+
+    Rounding: eigh is backward stable, so each computed C(1) is within
+    delta = n^2 eps (h + 1) of the exact one, n = j_max + 1 levels and
+    h = sigma j_max (j_max + 1) + 2P >= ||H|| for both bases (n^2 stands for
+    LAPACK's modest p(n); the phases add eps h, the products n eps).  The
+    computed u bounds max |c_{jf+1}| to within delta too.  So (3 + P b) delta,
+    subtracted here, covers the top two levels, the coupling term, the jf
+    solve and this arithmetic: the result is a lower bound on the computed
+    leak's root, not only the exact one.  For a huge P or sigma the slack
+    swamps the bound, or makes it -inf or NaN, which bounds nothing."""
+    b, n = float(_bands(j_max)[1][jf]), j_max + 1
+    reach = np.abs(u[..., jf + 1, :] * u[..., j0, :]).sum(axis=-1, keepdims=True)
+    top = np.sqrt((np.abs(c[..., jf - 1:jf + 1]) ** 2).sum(axis=-1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):      # inf and NaN bound nothing
+        slack = n * n * _EPS * (sigma * j_max * (j_max + 1) + 2 * p + 1) * (3 + p * b)
+        return (top - p * b * reach - slack)[..., 0]
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -171,9 +208,13 @@ def delta_kick(strength: float, j0: int, basis: RotorBasis) -> Wavepacket:
     amplitudes decay super-exponentially for J well above P, so the
     padding bounds truncation error below 1e-10 for P <= 20.  That
     exponential is exp(-i H) at sigma = 0, so the spectral kernel makes it.
+    A ValueError names P when the padded basis would pass the j_max limit.
     """
     _check_strength(strength)
     _check_j0(j0, basis.j_max)
+    if not basis.j_max + max(8, 2 * strength) <= _J_MAX_LIMIT:    # before ceil(inf) can raise
+        raise ValueError(f"P={strength} pads the basis j_max={basis.j_max} by max(8, ceil(2P)) "
+                         f"levels, past the j_max limit {_J_MAX_LIMIT}")
     pad = max(8, math.ceil(2 * strength))
     c = _solve(float(strength), 0.0, j0, basis.j_max + pad)[: basis.dim]
     return Wavepacket(basis=basis, coefficients=c, j0=j0)

@@ -8,6 +8,17 @@ the next stack is formed.  So a sweep holds one stack's working arrays and the
 rows already converged, whatever the size of its grid.  No arithmetic crosses
 point boundaries, so the results are bit for bit the same however the points
 are cut.
+
+In auto mode the ladder's second rung, J0 + 8, is solved first.  Its
+eigendecomposition gives each point a floor under the root of the leak that the
+first rung, J0 + 4, would have (propagate._leak_floor): H is tridiagonal, so
+J <= J0 + 4 meets the levels above only through -P <J0+4|cos|J0+5>, and by
+variation of constants the two states differ by at most that coupling times the
+largest |c_{J0+5}| over the pulse.  The floor has the eigensolver's rounding
+taken off.  Where it is at least 2 sqrt(leak_tol), a factor 4 on the leak, the
+J0 + 4 solve is proved to fail and is skipped; the other points of the stack
+are solved at J0 + 4 right away, and a point still keeps the smallest rung whose
+leak is below leak_tol.  The solves that remain are the same, so are the bits.
 """
 
 from __future__ import annotations
@@ -197,23 +208,47 @@ def _evaluate(p, sigma, j0, j_max, leak_tol):
         raise ValueError("P and sigma must be 1-D sequences of the same length")
     ladder, tol = _rungs(j0, j_max, leak_tol)
     solved, active = [], np.arange(p_arr.size)
-    for jm in ladder:
+
+    def keep(jm, idx, c=None):
+        """Observables of the points of idx whose leak on the basis jm is below tol,
+        from their C(1) c, solved here if None; the mask of the others.  (Solving here
+        spares solve a call of itself: a closure that refers to itself is a cycle,
+        which would hold these arrays until the cyclic collector runs.)"""
+        if c is None:
+            c = _propagate_points(p_arr[idx], s_arr[idx], j0, jm)
+        done = _leak(c) < tol
+        if done.any():
+            c = c[done]
+            pop = abs(c) ** 2
+            solved.append((jm, idx[done], np.column_stack(_expectations(
+                c, pop, _j2(jm), *_bands(jm)[1:])), pop, np.abs(c)))
+        return ~done
+
+    def solve(jm, idx, below):
+        """The mask of the points of idx that converge on neither basis.  A point goes
+        to the smaller basis below (None: no such basis) first, unless the
+        eigendecomposition on jm proves that it leaks there."""
+        if below is None:
+            return keep(jm, idx)
+        c, floor = _propagate_points(p_arr[idx], s_arr[idx], j0, jm, below)
+        tried = ~(floor >= 2 * math.sqrt(tol))      # not proved to leak; NaN proves nothing
+        left = np.ones(idx.size, dtype=bool)
+        if tried.any():
+            left[tried] = keep(below, idx[tried])
+        left[left] = keep(jm, idx[left], c[left])
+        return left
+
+    # the first rung is solved inside the stacks of the second, whose eigenvectors prove the skips
+    below, rungs = (ladder[0], ladder[1:]) if len(ladder) > 1 else (None, ladder)
+    for jm in rungs:
         if not active.size:
             break
         per = max(1, _STACK_ENTRIES // (jm + 1) ** 2)     # points a stack, at least one
-        bands, left = (_j2(jm), *_bands(jm)[1:]), np.ones(active.size, dtype=bool)
+        left = np.ones(active.size, dtype=bool)
         for a in range(0, active.size, per):
-            idx = active[a:a + per]
-            c = _propagate_points(p_arr[idx], s_arr[idx], j0, jm)
-            done = _leak(c) < tol
-            if done.any():
-                c = c[done]
-                pop = abs(c) ** 2
-                solved.append((jm, idx[done], np.column_stack(_expectations(c, pop, *bands)),
-                               pop, np.abs(c)))
-            left[a:a + per] = ~done
-        active = active[left]
-    k = solved[-1][0] + 1 if solved else 0      # rungs grow, so the last is the widest
+            left[a:a + per] = solve(jm, active[a:a + per], below)
+        active, below = active[left], None
+    k = max((jm for jm, *_ in solved), default=-1) + 1     # the widest converged basis
     table = np.zeros((p_arr.size, 6 + 2 * k))
     table[:, 0], table[:, 1], table[:, 2], table[:, 3:6] = p_arr, s_arr, j0, math.nan
     levels = np.full(p_arr.size, -1)

@@ -222,6 +222,28 @@ class TestDeltaKick:
         with pytest.raises(ValueError, match=f"^P must be finite and >= 0, got {p}$"):
             delta_kick(p, 0, RotorBasis(6))
 
+    @pytest.mark.parametrize("p, j_max", [(5000.0, 8), (1e6, 8), (1e308, 8), (996.25, 8),
+                                          (0.0, 1993)])
+    def test_padding_past_the_limit_refused_before_any_solve(self, p, j_max, monkeypatch):
+        def solve(*args):
+            raise AssertionError("_solve called")
+        monkeypatch.setattr(rotorkick.propagate, "_solve", solve)
+        message = (f"P={p} pads the basis j_max={j_max} by max(8, ceil(2P)) levels, "
+                   f"past the j_max limit {_J_MAX_LIMIT}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            delta_kick(p, 0, RotorBasis(j_max))
+
+    @pytest.mark.parametrize("p, j_max", [(996.0, 8), (0.0, 1992)])
+    def test_padding_to_the_limit_kept(self, p, j_max, monkeypatch):
+        calls = []
+
+        def solve(p, sigma, j0, j_max):
+            calls.append(j_max)
+            return np.zeros(j_max + 1, dtype=complex)
+        monkeypatch.setattr(rotorkick.propagate, "_solve", solve)
+        delta_kick(p, 0, RotorBasis(j_max))
+        assert calls == [_J_MAX_LIMIT]
+
     def test_identity_at_zero_strength(self):
         psi = delta_kick(0.0, 2, RotorBasis(6))
         assert abs(psi.coefficients[2] - 1.0) < 1e-14

@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 import tracemalloc
@@ -39,6 +40,9 @@ from rotorkick import (
     zero_loci,
 )
 from rotorkick._text import _round_scaled
+from rotorkick.core import _bands, _j2
+from rotorkick.observables import _expectations
+from rotorkick.propagate import _leak, _leak_error, _propagate_points
 from rotorkick.sweep import axis
 
 
@@ -788,21 +792,31 @@ class TestBatchedEngine:
 
 class TestStream:
     """Each rung walks its points in consecutive stacks within the budget, a stack's
-    observables made before the next stack is solved, with the bits of one stack."""
+    observables made before the next stack is solved, with the bits of one stack.
+    The first rung J0 + 4 is solved inside each J0 + 8 stack, on the points of that
+    stack whose floor does not prove that they leak there."""
 
     MIXED = SweepGrid(p_values=(1.5, 500.0), sigma_values=(0.001, 0.002, 0.5, 1.0, 3.0, 6.0),
                       leak_tol=1e-14)
     BLOCK = SweepGrid(p_values=axis("P", 4.1, 4.85, 0.05), sigma_values=axis("sigma", 5.7, 6.45, 0.05))
+    # points proved to leak at J0 + 4 (sigma 0.5, 3, 7), tried there and kept (6, 9, 10), and
+    # tried there and passed on to J0 + 8 (8)
+    LINE = SweepGrid(p_values=(1.5,), sigma_values=(0.5, 3.0, 6.0, 7.0, 8.0, 9.0, 10.0))
+    GRIDS = (MIXED, BLOCK, LINE)
+
+    @pytest.fixture(scope="class")
+    def one_stack(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rotorkick.sweep, "_STACK_ENTRIES", 1 << 40)
+            return [run_sweep(grid) for grid in self.GRIDS]
 
     @pytest.mark.parametrize("entries", [rotorkick.sweep._STACK_ENTRIES, 200])
-    def test_stacks_equal_one_stack(self, monkeypatch, entries):
-        # every rung of the mixed grid, failed points up to the cap included, and
-        # a 16 x 16 block; 200 entries cut rungs 4 and 8 into several stacks
+    def test_stacks_equal_one_stack(self, monkeypatch, one_stack, entries):
+        # every rung of the mixed grid, failed points up to the cap included, a
+        # 16 x 16 block and a line; 200 entries cut rungs 4 and 8 into several stacks
         monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", entries)
-        got = [run_sweep(grid) for grid in (self.MIXED, self.BLOCK)]
-        monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", 1 << 40)
-        for res, grid in zip(got, (self.MIXED, self.BLOCK)):
-            want = run_sweep(grid)
+        for grid, want in zip(self.GRIDS, one_stack):
+            res = run_sweep(grid)
             assert _same_bits(res.table, want.table) and _same_bits(res.j_max, want.j_max)
             assert res.errors == want.errors and res.drop_loci == want.drop_loci
             assert res.minima_2d == want.minima_2d
@@ -810,46 +824,89 @@ class TestStream:
 
     @pytest.mark.parametrize("entries", [rotorkick.sweep._STACK_ENTRIES, 200])
     def test_stacks_stay_within_the_budget(self, monkeypatch, entries):
-        # a stack holds at most the budget's entries, or one matrix; the points a
-        # stack converges get their observables before the next stack is solved,
-        # and a rung's stacks take its points in order, each once
+        # a stack holds at most the budget's entries, or one matrix; a J0 + 8 stack
+        # is followed by the J0 + 4 solve of exactly its points not proved to leak
+        # there; the points a stack converges get their observables right after its
+        # solves, rung 4's first, before the next stack is solved; and a rung's
+        # stacks take its points in order, each once
         monkeypatch.setattr(rotorkick.sweep, "_STACK_ENTRIES", entries)
         solve, expectations, events = (rotorkick.sweep._propagate_points,
                                        rotorkick.sweep._expectations, [])
 
-        def spy_solve(p, sigma, j0, j_max):
-            c = solve(p, sigma, j0, j_max)
-            events.append(("solve", j_max, p.tolist(), sigma.tolist(),
-                           int(np.count_nonzero(rotorkick.propagate._leak(c) < 1e-14))))
-            return c
+        def spy_solve(p, sigma, j0, j_max, floor_at=None):
+            out = solve(p, sigma, j0, j_max, floor_at)
+            c, floor = out if floor_at is not None else (out, None)
+            events.append(("solve", j_max, list(zip(p.tolist(), sigma.tolist())),
+                           (rotorkick.propagate._leak(c) < tol).tolist(),
+                           None if floor is None else (floor >= bar).tolist()))
+            return out
 
         def spy_expectations(c, *args):
             events.append(("observables", len(c)))
             return expectations(c, *args)
         monkeypatch.setattr(rotorkick.sweep, "_propagate_points", spy_solve)
         monkeypatch.setattr(rotorkick.sweep, "_expectations", spy_expectations)
-        run_sweep(self.MIXED)
-        for i, event in enumerate(events):
-            following = events[i + 1] if i + 1 < len(events) else None
-            if event[0] == "solve" and event[4]:
-                assert following == ("observables", event[4])
-            elif event[0] == "solve":
-                assert following is None or following[0] == "solve"
-            else:
-                assert events[i - 1][0] == "solve"
-        points = list(zip(np.repeat(self.MIXED.p_values, 6).tolist(),
-                          np.tile(self.MIXED.sigma_values, 2).tolist()))
-        rungs = {}
-        for event in events:
-            if event[0] == "solve":
-                rungs.setdefault(event[1], []).append(list(zip(event[2], event[3])))
-        assert sorted(rungs) == list(range(4, 401, 4))
-        assert sum(rungs[4], []) == points
+        for grid in (self.MIXED, self.LINE):
+            tol, bar = grid.leak_tol, 2 * math.sqrt(grid.leak_tol)
+            events.clear()
+            result = run_sweep(grid)
+            self._assert_stream(grid, result, events, entries, solve, bar)
+
+    @staticmethod
+    def _assert_stream(grid, result, events, entries, solve, bar):
+        n_sig = len(grid.sigma_values)
+        points = list(zip(np.repeat(grid.p_values, n_sig).tolist(),
+                          np.tile(grid.sigma_values, len(grid.p_values)).tolist()))
+        rungs, i = {}, 0
+        while i < len(events):
+            assert events[i][0] == "solve"
+            _, j_max, stack, done, proved = events[i]
+            rungs.setdefault(j_max, []).append(stack)
+            i += 1
+            if proved is not None:      # J0 + 8, with J0 + 4 inside it
+                assert j_max == 8
+                tried = [x for x, pr in zip(stack, proved) if not pr]
+                done4 = [False] * len(stack)
+                if tried:
+                    assert events[i][:3] == ("solve", 4, tried) and events[i][4] is None
+                    rungs.setdefault(4, []).append(tried)
+                    kept = iter(events[i][3])
+                    done4 = [not pr and next(kept) for pr in proved]
+                    i += 1
+                    if any(done4):
+                        assert events[i] == ("observables", sum(done4))
+                        i += 1
+                done = [d and not d4 for d, d4 in zip(done, done4)]
+            if any(done):
+                assert events[i] == ("observables", sum(done))
+                i += 1
+        top = 400 if result.errors else int(result.j_max.max())
+        assert sorted(rungs) == list(range(4, top + 1, 4))
+        # J0 + 4 solves exactly the points whose floor does not prove that they leak
+        floor = solve(*map(np.array, zip(*points)), 0, 8, 4)[1]
+        assert sum(rungs[4], []) == [x for x, f in zip(points, floor.tolist()) if not f >= bar]
+        assert 0 < len(sum(rungs[4], [])) < len(points)
         for j_max, stacks in rungs.items():     # the points left, in grid order, each once
             rung, per = sum(stacks, []), max(1, entries // (j_max + 1) ** 2)
             assert rung == sorted(set(rung), key=points.index)
-            assert [len(stack) for stack in stacks] == [
-                min(per, len(rung) - a) for a in range(0, len(rung), per)]
+            if j_max == 4:      # subsets of the J0 + 8 stacks
+                assert all(len(stack) <= max(1, entries // 9 ** 2) for stack in stacks)
+            else:
+                assert [len(stack) for stack in stacks] == [
+                    min(per, len(rung) - a) for a in range(0, len(rung), per)]
+
+    def test_leaves_no_reference_cycle(self):
+        # a sweep's arrays are freed when it returns, not when the cyclic collector
+        # next runs (a closure that called itself once held them, +0.8 MiB peak RSS)
+        run_sweep(self.LINE)
+        gc.collect()
+        gc.disable()
+        try:
+            run_sweep(self.LINE)
+            run_sweep(self.BLOCK)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("p_axis, sigma_axis", [
         ((1.5,), (0.005, 10.0, 0.005)),                         # fig2
@@ -869,6 +926,102 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * result.table.nbytes + 2 * 2 ** 20, (peak, result.table.nbytes)
+
+
+def reference_evaluate(p, sigma, j0, leak_tol):
+    """The auto ladder without the floor, one stack a rung: every point is solved on
+    J0 + 4, J0 + 8, ... in turn until its leak is below leak_tol.  The engine's
+    (table, j_max, errors)."""
+    p, sigma = np.asarray(p, dtype=float), np.asarray(sigma, dtype=float)
+    rows, levels, active = [], np.full(p.size, -1), np.arange(p.size)
+    for jm in range(j0 + 4, 401, 4):
+        if not active.size:
+            break
+        c = _propagate_points(p[active], sigma[active], j0, jm)
+        done = _leak(c) < leak_tol
+        if done.any():
+            c = c[done]
+            pop = abs(c) ** 2
+            rows.append((jm, active[done], np.column_stack(_expectations(
+                c, pop, _j2(jm), *_bands(jm)[1:])), pop, np.abs(c)))
+            levels[active[done]] = jm
+        active = active[~done]
+    k = levels.max() + 1
+    table = np.zeros((p.size, 6 + 2 * k))
+    table[:, 0], table[:, 1], table[:, 2], table[:, 3:6] = p, sigma, j0, math.nan
+    for jm, idx, obs, pop, c_abs in rows:
+        table[idx, 3:6], table[idx, 6:7 + jm], table[idx, 6 + k:7 + k + jm] = obs, pop, c_abs
+    return table, levels, {i: _leak_error(leak_tol, p[i].item(), sigma[i].item(), j0)
+                           for i in active.tolist()}
+
+
+@st.composite
+def ladder_cases(draw):
+    """(P, sigma, J0, leak_tol) for up to six points: P in [0, 30] and sigma in (0, 20],
+    each drawn half the time from [0, 1] and [10, 20], where more points pass at J0 + 4."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.lists(st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 1.0)),
+                      min_size=n, max_size=n))
+    s = draw(st.lists(st.one_of(st.floats(0.0, 20.0, exclude_min=True), st.floats(10.0, 20.0)),
+                      min_size=n, max_size=n))
+    return (np.array(p), np.array(s), draw(st.integers(0, 3)),
+            draw(st.integers(-14, -2).map(lambda e: 10.0 ** e)))
+
+
+class TestLeakFloor:
+    """The J0 + 8 eigendecomposition's floor under the J0 + 4 leak, and the ladder
+    that skips the J0 + 4 solves it proves to fail, against the plain ladder."""
+
+    @given(ladder_cases())
+    @example((np.array([0.0, 1.5, 1.5, 30.0]), np.array([1.0, 6.0, 7.0, 1e-3]), 0, 1e-10))
+    def test_floor_under_the_leak(self, case):
+        p, s, j0, _ = case
+        leak = _leak(_propagate_points(p, s, j0, j0 + 4))
+        floor = _propagate_points(p, s, j0, j0 + 8, j0 + 4)[1]
+        assert np.all(np.sqrt(leak) >= floor - 1e-12), (np.sqrt(leak), floor)
+
+    @pytest.mark.parametrize("p, s", [(1e300, 1.0), (1.0, 1e300), (1e300, 1e300)])
+    def test_huge_points_prove_nothing(self, p, s):
+        # the rounding slack swamps the bound, or overflows to -inf or NaN
+        floor = _propagate_points(np.array([p]), np.array([s]), 3, 11, 7)[1]
+        assert not floor[0] > 0
+
+    @given(ladder_cases())
+    @example((np.array([0.5, 1.5, 1.5, 1.5]), np.array([20.0, 6.0, 7.0, 8.0]), 0, 1e-14))
+    @example((np.array([0.0, 5.0, 1e-300]), np.array([1e300, 5e-324, 1e300]), 3, 1e-10))
+    def test_same_bits_as_the_plain_ladder(self, case):
+        got = rotorkick.sweep._evaluate(*case[:3], None, case[3])
+        want = reference_evaluate(*case)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert got[2] == want[2]
+
+
+class TestWorkCount:
+    """The matrices and _solve calls per basis size that a sweep makes, exactly: a
+    rung solved twice, a proof that skips nothing or a budget cut in half shows
+    here, with no timing."""
+
+    @staticmethod
+    def count(monkeypatch, grid):
+        solve, counts = rotorkick.propagate._solve, {}
+
+        def spy(p, sigma, j0, j_max, *floor_at):
+            matrices, calls = counts.get(j_max, (0, 0))
+            counts[j_max] = (matrices + len(p), calls + 1)
+            return solve(p, sigma, j0, j_max, *floor_at)
+        monkeypatch.setattr(rotorkick.propagate, "_solve", spy)
+        run_sweep(grid)
+        return counts
+
+    def test_fig2(self, monkeypatch):
+        grid = SweepGrid.from_ranges(1.5, 0.005, 10.0, 0.005)
+        assert self.count(monkeypatch, grid) == {4: (707, 5), 8: (2000, 5), 12: (47, 1)}
+
+    def test_surface_block(self, monkeypatch):
+        # the benchmark's 64 x 64 block: every point proved to leak at J0 + 4
+        grid = SweepGrid(p_values=axis("P", 4.1, 7.25, 0.05),
+                         sigma_values=axis("sigma", 5.7, 8.85, 0.05))
+        assert self.count(monkeypatch, grid) == {8: (4096, 11)}
 
 
 def _seeded_points():
